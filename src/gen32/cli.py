@@ -10,7 +10,7 @@ Exit codes (no others are used):
 
 * 0 — success (including analyses whose d is reported indeterminate);
 * 1 — at least one claim verdict failed;
-* 2 — usage, parse, or input-format error;
+* 2 — usage, parse or input-format error, or an unwritable ``--out`` path;
 * 3 — construction or suite precondition violated.
 """
 
@@ -50,7 +50,7 @@ _ALL_PARTS = ("table1", "table2", "lemma7", "corollary3", "genlemmas")
 
 
 class UsageError(Exception):
-    """Bad flag combination for a construction kind (exit code 2)."""
+    """Bad flags or an unwritable ``--out`` path (exit code 2)."""
 
 
 def _need(value: object, flag: str, kind: str) -> None:
@@ -109,9 +109,12 @@ def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[], DResu
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _json(payload: object) -> str:
@@ -199,11 +202,14 @@ def _verdict_payload(v: ClaimVerdict) -> dict:
     }
 
 
-def _parse_q_list(text: str) -> tuple[int, ...]:
+def _parse_q_list(texts: Sequence[str]) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        qs = tuple(int(part) for text in texts for part in text.split(","))
     except ValueError:
-        raise UsageError(f"--q expects comma-separated integers, got {text!r}") from None
+        raise UsageError(f"--q expects comma-separated integers, got {','.join(texts)!r}") from None
+    if len(set(qs)) != len(qs):
+        raise UsageError(f"--q lists a value more than once: {qs}")
+    return qs
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -287,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
 
     reproduce = subs.add_parser("reproduce", help="run a claim suite and report verdicts")
     reproduce.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    reproduce.add_argument("--q", help="comma-separated q list for the lemma7 suite")
+    reproduce.add_argument("--q", action="append", help="lemma7 qs, comma-separated; repeatable")
     reproduce.add_argument("--jobs", type=int, default=1, help="parallel suite workers")
     reproduce.add_argument("--out", help="write the JSON report to this file")
     reproduce.set_defaults(func=cmd_reproduce)

@@ -38,12 +38,12 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .constructions import affine_group, extend_fixing_zero
 from .errors import IndeterminateError, PreconditionError
 from .field import prime_factors
-from .matgroup import MatrixGroup, decode_vector, encode_vector, is_irreducible
+from .matgroup import MatrixGroup, is_irreducible
 from .permgroup import (
     ElementTable,
     Perm,
@@ -513,16 +513,16 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     base = [extend_fixing_zero(g) for g in inner.witness.elements]
     while len(base) < value:
         base.append(identity)
-    translations = _all_translations(G0)
     attempts = 0
     for j in range(value):
-        for t in translations:
+        for t in _translations(G0):
             cand = tuple(base[:j] + [base[j] * t] + base[j + 1 :])
             attempts += 1
             if attempts > budget:
                 raise IndeterminateError("translation-lift budget exhausted")
             if generates(A, cand):
                 return DResult(value=value, witness=GenTuple(cand, True), method=METHOD_SHORTCUT)
+    translations = list(_translations(G0))
     for j1 in range(value):
         for j2 in range(j1 + 1, value):
             for t1 in translations:
@@ -540,19 +540,17 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     raise IndeterminateError("no translation lift of the stabilizer witness generates")
 
 
-def _all_translations(G0: MatrixGroup) -> list[Perm]:
-    """Permutations v -> v + u for every nonzero u, in code order."""
-    f, dim = G0.field, G0.dim
-    total = f.q**dim
-    vectors = [decode_vector(f, dim, c) for c in range(total)]
-    out = []
-    for code in range(1, total):
-        u = vectors[code]
-        images = [
-            encode_vector(f, tuple(a + b for a, b in zip(vectors[c], u))) for c in range(total)
-        ]
-        out.append(Perm(images))
-    return out
+def _translations(G0: MatrixGroup) -> Iterator[Perm]:
+    """Permutations v -> v + u for every nonzero u, in code order.
+
+    A vector code is the base-p digit string of its coordinates' codes,
+    so v + u is a digit-wise sum mod p of the two codes.
+    """
+    f = G0.field
+    weights = [f.p**i for i in range(f.m * G0.dim)]
+    digits = [[v // w % f.p for w in weights] for v in range(f.q**G0.dim)]
+    for du in digits[1:]:
+        yield Perm([sum((a + b) % f.p * w for a, b, w in zip(dv, du, weights)) for dv in digits])
 
 
 def all_abelian_subgroups_cyclic(G: PermGroup) -> bool:

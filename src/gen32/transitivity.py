@@ -11,15 +11,16 @@ on n points with point stabilizer H:
 * primitive: no invariant partition with blocks of size strictly
   between 1 and n;
 * Frobenius: transitive, not regular, and only the identity fixes two
-  points (equivalently, every nonidentity element has at most one fixed
-  point);
+  points (equivalently, every H-orbit outside the fixed point has length
+  |H|);
 * regular / semiregular: trivial stabilizers, with / without
   transitivity.
 
-Primitivity is decided by Atkinson's algorithm: for each point beta != 0
-the finest invariant partition merging {0, beta} is computed by a
-union-find sweep; the group is primitive iff every such partition is the
-one-block partition.
+Primitivity is decided by Atkinson's algorithm: the finest invariant
+partition merging {0, beta} is computed by a union-find sweep, and the
+group is primitive iff every such partition is the one-block partition.
+H maps the partition for beta to the one for beta^h, so one sweep per
+H-orbit (rank - 1 sweeps, from each orbit's least point) decides it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class TransitivityReport:
 
     ``rank`` and ``primitive`` are None when the group is intransitive
     (and ``primitive`` also for degree 1, where the notion is empty);
-    ``frobenius`` is None when the group was too large to enumerate.
+    ``frobenius`` is None when the order exceeds ``ELEMENT_LIMIT``, which
+    keeps the report schema stable; the predicate itself needs no
+    enumeration.
     """
 
     degree: int
@@ -139,17 +142,18 @@ def is_primitive(G: PermGroup) -> bool:
         raise PreconditionError("primitivity needs degree >= 2")
     if not G.is_transitive():
         raise PreconditionError("primitivity is defined for transitive groups")
-    return all(len(minimal_block_with(G, 0, beta)) == G.degree for beta in range(1, G.degree))
+    orbits = G.point_stabilizer(0).orbits()
+    return all(len(minimal_block_with(G, 0, o[0])) == G.degree for o in orbits if o != [0])
 
 
 def is_frobenius(G: PermGroup) -> bool:
     """Transitive, not regular, and no nonidentity element fixes two
-    points.  Needs element enumeration, so the order cap applies."""
-    if not G.is_transitive():
+    points: the stabilizer H of 0 acts regularly on each of its orbits
+    outside 0."""
+    if not G.is_transitive() or is_regular(G):
         return False
-    if is_regular(G):
-        return False
-    return all(g.fixed_point_count() <= 1 for g in G.elements() if not g.is_identity())
+    stab_order = G.order() // G.degree
+    return all(len(o) == stab_order for o in G.point_stabilizer(0).orbits() if o != [0])
 
 
 def analyze(G: PermGroup) -> TransitivityReport:

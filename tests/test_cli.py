@@ -216,6 +216,22 @@ def test_reproduce_verdicts_sorted(capsys):
     assert ids == sorted(ids)
 
 
+def test_reproduce_repeated_q_flags_accumulate(capsys):
+    code, out, _ = run_cli(capsys, "reproduce", "--suite", "lemma7", "--q", "13", "--q", "17")
+    assert code == 0
+    ids = [v["claim_id"] for v in json.loads(out)["verdicts"]]
+    assert len(ids) == 6
+    assert {i.split(".")[1] for i in ids} == {"q13", "q17"}
+
+
+@pytest.mark.parametrize("qs", [("3,3",), ("3", "--q", "3"), ("5,3", "--q", "5")])
+def test_reproduce_repeated_q_value_is_usage_error(capsys, qs):
+    code, out, err = run_cli(capsys, "reproduce", "--suite", "lemma7", "--q", *qs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_reproduce_bad_q_value_exit_2(capsys):
     code, _, err = run_cli(capsys, "reproduce", "--suite", "lemma7", "--q", "abc")
     assert code == 2
@@ -230,6 +246,28 @@ def test_reproduce_unknown_suite_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "--suite", "everything"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# --out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "s0", "--q", "5"),
+        ("analyze", "zgroup", "--m", "1", "--n", "4", "--r", "1"),
+        ("reproduce", "--suite", "lemma7", "--q", "3"),
+    ],
+    ids=["construct", "analyze", "reproduce"],
+)
+def test_out_to_unwritable_path_is_exit_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_console_entry_point_installed():

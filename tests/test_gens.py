@@ -5,13 +5,14 @@ import pytest
 from gen32.constructions import s0_group, sl2, table1_group, table1_matrix_group, z_group
 from gen32.errors import IndeterminateError, PreconditionError
 from gen32.gens import (
+    _translations,
     all_abelian_subgroups_cyclic,
     d_affine,
     d_exact,
     d_lower_bound_abelian,
     generates,
 )
-from gen32.matgroup import MatrixGroup
+from gen32.matgroup import MatrixGroup, decode_vector, encode_vector
 from gen32.field import field_make
 from gen32.permgroup import Perm, PermGroup, symmetric_group
 
@@ -272,6 +273,40 @@ def test_d_affine_requires_nontrivial():
 
     with pytest.raises(PreconditionError):
         d_affine(MatrixGroup(f, 2, [MatrixF.identity(f, 2)]))
+
+
+def translation_by_field_arithmetic(G0, u):
+    """v -> v + u through FieldElement addition: the reference for the
+    digit-wise translations."""
+    f, dim = G0.field, G0.dim
+    du = decode_vector(f, dim, u)
+    return Perm(
+        [
+            encode_vector(f, tuple(a + b for a, b in zip(decode_vector(f, dim, v), du)))
+            for v in range(f.q**dim)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: s0_group(5), lambda: s0_group(9), lambda: table1_matrix_group(2)],
+    ids=["s0(5)", "s0(9)", "table1(2)"],
+)
+def test_translations_match_field_arithmetic(make):
+    G0 = make()
+    total = G0.field.q**G0.dim
+    expected = [translation_by_field_arithmetic(G0, u) for u in range(1, total)]
+    assert list(_translations(G0)) == expected
+
+
+def test_translations_match_field_arithmetic_gf25():
+    # 624 translations: compare a spread of codes, each at its position
+    G0 = s0_group(25)
+    got = list(_translations(G0))
+    assert len(got) == 624
+    for u in (1, 4, 5, 24, 25, 26, 137, 312, 600, 624):
+        assert got[u - 1] == translation_by_field_arithmetic(G0, u)
 
 
 def MatrixF_from(f, rows):

@@ -1,6 +1,14 @@
 import pytest
 
-from gen32.constructions import agl1, table1_group, z_group, z_group_kernel_action
+from gen32 import transitivity
+from gen32.constructions import (
+    affine_group,
+    agl1,
+    s0_group,
+    table1_group,
+    z_group,
+    z_group_kernel_action,
+)
 from gen32.errors import PreconditionError
 from gen32.permgroup import Perm, PermGroup, symmetric_group
 from gen32.transitivity import (
@@ -183,3 +191,97 @@ def test_degree_one_analyze():
     assert rep.rank == 1
     assert rep.primitive is None
     assert not rep.two_transitive
+
+
+# ---------------------------------------------------------------------------
+# stabilizer-orbit predicates against their definitions
+
+
+def frobenius_by_enumeration(G):
+    """The definition: transitive, not regular, and every nonidentity
+    element fixes at most one point."""
+    if not G.is_transitive() or G.order() == G.degree:
+        return False
+    return all(g.fixed_point_count() <= 1 for g in G.elements() if not g.is_identity())
+
+
+def primitive_by_full_sweep(G):
+    """Atkinson's sweep from every point beta != 0."""
+    return all(len(minimal_block_with(G, 0, beta)) == G.degree for beta in range(1, G.degree))
+
+
+def s2_wr_s3():
+    # blocks {0,1}, {2,3}, {4,5}; stabilizer orbits {0}, {1}, {2..5}
+    return PermGroup(
+        6,
+        (
+            Perm.from_cycles(6, [(0, 1)]),
+            Perm.from_cycles(6, [(0, 2), (1, 3)]),
+            Perm.from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
+        ),
+    )
+
+
+def s3_wr_s2():
+    # blocks {0,1,2}, {3,4,5}; stabilizer orbits {0}, {1,2}, {3,4,5}
+    return PermGroup(
+        6,
+        (
+            Perm.from_cycles(6, [(0, 1)]),
+            Perm.from_cycles(6, [(0, 1, 2)]),
+            Perm.from_cycles(6, [(0, 3), (1, 4), (2, 5)]),
+        ),
+    )
+
+
+# (group, Frobenius, primitive); primitive is None where it is undefined
+ORACLE_PANEL = {
+    "agl1(5)": (lambda: agl1(5), True, True),
+    "dihedral(5)": (lambda: dihedral(5), True, True),
+    "zgroup-kernel(7,3,2)": (lambda: z_group_kernel_action(7, 3, 2), True, True),
+    "agl1(9)": (lambda: agl1(9), True, True),
+    "sym(4)": (lambda: symmetric_group(4), False, True),
+    "table1(1)": (lambda: table1_group(1), False, True),
+    "affine-s0(5)": (lambda: affine_group(s0_group(5)), False, True),
+    "affine-s0(9)": (lambda: affine_group(s0_group(9)), False, True),
+    "dihedral(4)": (lambda: dihedral(4), False, False),
+    "dihedral(6)": (lambda: dihedral(6), False, False),
+    "s2-wr-s3": (s2_wr_s3, False, False),
+    "s3-wr-s2": (s3_wr_s2, False, False),
+    "cyclic(4)": (lambda: cyclic_regular(4), False, False),
+    "cyclic(5)": (lambda: cyclic_regular(5), False, True),
+    "zgroup(7,3,2)": (lambda: z_group(7, 3, 2), False, False),
+    "intransitive": (lambda: PermGroup(5, (Perm.from_cycles(5, [(0, 1, 2)]),)), False, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PANEL))
+def test_frobenius_matches_enumeration(name):
+    make, expected, _ = ORACLE_PANEL[name]
+    G = make()
+    assert is_frobenius(G) == frobenius_by_enumeration(G) == expected
+
+
+@pytest.mark.parametrize("name", sorted(n for n, row in ORACLE_PANEL.items() if row[2] is not None))
+def test_primitive_matches_full_sweep(name):
+    make, _, expected = ORACLE_PANEL[name]
+    G = make()
+    assert is_primitive(G) == primitive_by_full_sweep(G) == expected
+
+
+@pytest.mark.parametrize("name", ["affine-s0(9)", "table1(1)", "dihedral(6)", "s3-wr-s2"])
+def test_primitive_sweeps_once_per_stabilizer_orbit(name, monkeypatch):
+    G = ORACLE_PANEL[name][0]()
+    sweeps = []
+
+    def counting(G, alpha, beta):
+        sweeps.append(beta)
+        return minimal_block_with(G, alpha, beta)
+
+    monkeypatch.setattr(transitivity, "minimal_block_with", counting)
+    primitive = is_primitive(G)
+    least_points = [o[0] for o in G.point_stabilizer(0).orbits() if o != [0]]
+    # one sweep per orbit, stopping at the first proper block
+    assert sweeps == least_points[: len(sweeps)]
+    if primitive:
+        assert len(sweeps) == rank(G) - 1
