@@ -106,6 +106,19 @@ def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[], DResu
     raise UsageError(f"unknown construction kind {kind!r}")
 
 
+def _check_writable(out: str | None) -> None:
+    """Fail before any work when ``--out`` cannot be written.  Opening for
+    append creates a missing file but keeps an existing one's bytes until
+    ``_emit`` replaces them."""
+    if out is None:
+        return
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -213,9 +226,13 @@ def _parse_q_list(texts: Sequence[str]) -> tuple[int, ...]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and args.suite != "all":
+        raise UsageError(f"--jobs {args.jobs} needs --suite all, which runs its suites in parallel")
     q_list = _parse_q_list(args.q) if args.q else None
     t0 = time.perf_counter()
-    if args.jobs > 1 and args.suite == "all":
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(run_suite, part, q_list) for part in _ALL_PARTS]
             verdicts = sorted(
@@ -294,7 +311,9 @@ def _parser() -> argparse.ArgumentParser:
     reproduce = subs.add_parser("reproduce", help="run a claim suite and report verdicts")
     reproduce.add_argument("--suite", required=True, choices=SUITE_NAMES)
     reproduce.add_argument("--q", action="append", help="lemma7 qs, comma-separated; repeatable")
-    reproduce.add_argument("--jobs", type=int, default=1, help="parallel suite workers")
+    reproduce.add_argument(
+        "--jobs", type=int, default=1, help="parallel suite workers; above 1 needs --suite all"
+    )
     reproduce.add_argument("--out", help="write the JSON report to this file")
     reproduce.set_defaults(func=cmd_reproduce)
 
@@ -304,6 +323,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_writable(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,21 +6,21 @@ scanned with the first slot running over conjugacy-class representatives
 (ascending lexicographically) and the remaining slots over all elements
 in enumeration order.  Conjugating a generating tuple preserves
 generation, so fixing the first entry up to conjugacy loses nothing.
-The first witness found is returned, and because the search only runs
-at size k after sizes < k have been exhausted, two sound prunings never
-change which witness that is:
-
-* a slot value inside the subgroup generated by the preceding slots can
-  be skipped (removing it from a witness would leave a smaller witness);
-* once a prefix subgroup S has had its remaining slots fully scanned
-  without success, any later prefix generating the same S with the same
-  number of open slots can be skipped outright.
+There is one scan, directly on the permutations, for every group size.
+A slot value inside the subgroup generated by the preceding slots is
+skipped: removing it from a witness would leave a smaller one, and the
+search only runs at size k after sizes < k have been exhausted, so the
+skip never changes which witness is found first.  The prefix subgroup
+is tracked as an explicit set while it has at most ``PREFIX_SET_LIMIT``
+elements; past that the skip is not applied.
 
 Two necessary-condition filters reject candidates before any closure is
 computed: the tuple must have the same orbit partition as G, and its
 image in the abelianization G/[G,G] must generate the abelianization
 (checked by ranks over each prime).  Both are conditions every
-generating tuple satisfies, so no witness is ever filtered away.
+generating tuple satisfies, so no witness is ever filtered away.  A
+candidate that passes both is accepted when its Schreier-Sims order is
+|G|, and the returned witness is checked once more by ``generates``.
 
 The projected cost of size k is classes(G) * |G|^(k-1) candidate
 tuples.  When that exceeds the budget, ``d_exact`` switches to
@@ -44,17 +44,10 @@ from .constructions import affine_group, extend_fixing_zero
 from .errors import IndeterminateError, PreconditionError
 from .field import prime_factors
 from .matgroup import MatrixGroup, is_irreducible
-from .permgroup import (
-    ElementTable,
-    Perm,
-    PermGroup,
-    coset_action,
-    derived_subgroup,
-)
+from .permgroup import Perm, PermGroup, coset_action, derived_subgroup
 
 DEFAULT_BUDGET = 10**8
 D_ORDER_LIMIT = 10**5
-TABLE_LIMIT = 1024
 PREFIX_SET_LIMIT = 4096
 ABELIAN_FILTER_LIMIT = 256
 
@@ -239,7 +232,7 @@ class _Search:
 
     ``run_level(k, limit)`` scans all size-k tuples in the canonical
     order; it must only be called once sizes < k are known to be
-    witness-free (the skip rules rely on it).  ``tests`` counts final
+    witness-free (the skip rule relies on it).  ``tests`` counts final
     candidates attempted and persists across levels; when it reaches the
     limit the scan aborts with ``truncated`` set.
     """
@@ -251,32 +244,22 @@ class _Search:
         self.reps = [r for r in G.conjugacy_class_reps() if not r.is_identity()]
         self.tests = 0
         self.truncated = False
-        self._table: ElementTable | None = None
-        self._bfs_ids: list[int] | None = None
-        self._rep_ids: list[int] | None = None
         self._elements: list[Perm] | None = None
         self._ab: _AbelianFilter | None = None
-        self._ab_ready = False
         self._orbits = len(G.orbits())
-        self._memo: set[tuple[int, frozenset[int]]] = set()
 
     # -- lazy heavy state --------------------------------------------------
 
     def _prepare(self) -> None:
-        if self._elements is None:
-            self._elements = self.G.elements()
-            if self.n <= TABLE_LIMIT:
-                self._table = ElementTable(self.G)
-                self._bfs_ids = [self._table.index[e] for e in self._elements]
-                self._rep_ids = [self._table.index[r] for r in self.reps]
-        if not self._ab_ready:
-            self._ab_ready = True
-            try:
-                ab = _AbelianFilter(self.G)
-            except PreconditionError:
-                ab = None
-            if ab is not None and ab.size <= ABELIAN_FILTER_LIMIT:
-                self._ab = ab
+        if self._elements is not None:
+            return
+        self._elements = self.G.elements()
+        try:
+            ab = _AbelianFilter(self.G)
+        except PreconditionError:
+            ab = None
+        if ab is not None and ab.size <= ABELIAN_FILTER_LIMIT:
+            self._ab = ab
 
     # -- public entry ------------------------------------------------------
 
@@ -294,71 +277,9 @@ class _Search:
                     return (r,)
             return None
         self._prepare()
-        if self._table is not None:
-            return self._run_table(k, limit)
-        return self._run_big(k, limit)
+        return self._scan(k, limit)
 
-    # -- id-table mode -----------------------------------------------------
-
-    def _run_table(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
-        table = self._table
-        ab = self._ab
-        phi_of = None
-        if ab is not None:
-            phi_of = [ab.phi[table.elements[i]] for i in range(self.n)]
-
-        def rec(prefix: tuple[int, ...], sub: frozenset[int], remaining: int):
-            key = (remaining, sub)
-            if key in self._memo:
-                return None
-            span = None
-            if ab is not None:
-                span = ab.span(sorted({phi_of[i] for i in prefix}))
-                if ab.gens_needed(span) > remaining:
-                    self._memo.add(key)
-                    return None
-            if remaining == 1:
-                good = ab.good_last(span) if ab is not None else None
-                for i in self._bfs_ids:
-                    if i in sub:
-                        continue
-                    if limit is not None and self.tests >= limit:
-                        self.truncated = True
-                        return None
-                    self.tests += 1
-                    if good is not None and phi_of[i] not in good:
-                        continue
-                    cand = prefix + (i,)
-                    if (
-                        _orbit_count(self.degree, [table.elements[j] for j in cand])
-                        != self._orbits
-                    ):
-                        continue
-                    if len(table.closure(cand)) == self.n:
-                        return tuple(table.elements[j] for j in cand)
-                self._memo.add(key)
-                return None
-            for i in self._bfs_ids:
-                if i in sub:
-                    continue
-                bigger = table.closure(prefix + (i,))
-                got = rec(prefix + (i,), bigger, remaining - 1)
-                if got is not None:
-                    return got
-                if self.truncated:
-                    return None
-            self._memo.add(key)
-            return None
-
-        for rid in self._rep_ids:
-            got = rec((rid,), table.cyclic(rid), k - 1)
-            if got is not None or self.truncated:
-                return got
-        return None
-
-    # -- direct-permutation mode (groups too large for a table) -----------
-
-    def _run_big(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
+    def _scan(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
         elems = self._elements
         ab = self._ab
         target = self.n

@@ -326,7 +326,6 @@ class PermGroup:
         "degree",
         "generators",
         "_chain",
-        "_stab_chains",
         "_stabs",
         "_elements",
         "_classes",
@@ -346,7 +345,6 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
         self._chain: StabChain | None = None
-        self._stab_chains: dict[int, StabChain] = {}
         self._stabs: dict[int, PermGroup] = {}
         self._elements: list[Perm] | None = None
         self._classes: list[list[Perm]] | None = None
@@ -436,20 +434,18 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, alpha: int) -> PermGroup:
-        """The stabilizer of a point, read off a chain based at it."""
+        """The stabilizer of a point, read off a chain based at it: the
+        group's own chain when its base starts at alpha, else a new one."""
         if alpha not in self._stabs:
-            chain = self._stab_chain(alpha)
+            chain = self.chain()
+            if chain.base[:1] != (alpha,):
+                chain = build_chain(self.degree, self.generators, (alpha,))
             if len(chain.levels) <= 1:
                 gens: tuple[Perm, ...] = ()
             else:
                 gens = tuple(chain.levels[1].gens)
             self._stabs[alpha] = PermGroup(self.degree, gens)
         return self._stabs[alpha]
-
-    def _stab_chain(self, alpha: int) -> StabChain:
-        if alpha not in self._stab_chains:
-            self._stab_chains[alpha] = build_chain(self.degree, self.generators, (alpha,))
-        return self._stab_chains[alpha]
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -671,9 +667,8 @@ class ElementTable:
 
     Elements are sorted lexicographically and addressed by index, so ids
     are canonical for the group as a set.  Rows of the multiplication
-    table are built on first use.  This is the workhorse behind subgroup
-    enumeration and minimal-generating-set searches on groups small
-    enough to enumerate.
+    table are built on first use.  Its one client is the subgroup census,
+    ``subgroups_up_to_conjugacy``.
     """
 
     __slots__ = ("group", "elements", "index", "_rows", "_inv", "_id")

@@ -242,6 +242,23 @@ def test_reproduce_precondition_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "all", "--jobs", "0"),
+        ("--suite", "all", "--jobs", "-2"),
+        ("--suite", "lemma7", "--q", "3", "--jobs", "2"),
+    ],
+    ids=["zero", "negative", "single-suite"],
+)
+def test_reproduce_bad_jobs_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("gen32.cli.run_suite", lambda *a: pytest.fail("suite ran"))
+    code, out, err = run_cli(capsys, "reproduce", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --jobs") and err.count("\n") == 1
+
+
 def test_reproduce_unknown_suite_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "--suite", "everything"])
@@ -268,6 +285,32 @@ def test_out_to_unwritable_path_is_exit_2(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "table1", "--i", "4"),
+        ("analyze", "table1", "--i", "4"),
+        ("reproduce", "--suite", "table1"),
+    ],
+    ids=["construct", "analyze", "reproduce"],
+)
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("gen32.cli.run_suite", lambda *a: pytest.fail("suite ran"))
+    monkeypatch.setattr("gen32.cli._build", lambda *a: pytest.fail("group was built"))
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_out_keeps_an_existing_file_until_the_report_is_written(tmp_path, capsys):
+    target = tmp_path / "x.json"
+    target.write_text("old\n")
+    code, _, _ = run_cli(capsys, "analyze", "table1", "--i", "9", "--out", str(target))
+    assert code == 3
+    assert target.read_text() == "old\n"
 
 
 def test_console_entry_point_installed():

@@ -1,8 +1,16 @@
+import random
 from itertools import combinations
 
 import pytest
 
-from gen32.constructions import s0_group, sl2, table1_group, table1_matrix_group, z_group
+from gen32.constructions import (
+    agl1,
+    s0_group,
+    sl2,
+    table1_group,
+    table1_matrix_group,
+    z_group,
+)
 from gen32.errors import IndeterminateError, PreconditionError
 from gen32.gens import (
     _translations,
@@ -134,6 +142,142 @@ def test_d_matches_naive_oracle_small_corpus():
     ]
     for G in corpus:
         assert d_exact(G).value == d_naive(G)
+
+
+def random_small_group(seed):
+    """A group of degree 2..7 generated by 1-3 random cycles, half of
+    them transpositions, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    degree = rng.randint(2, 7)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        cycle = rng.sample(range(degree), rng.choice((2, rng.randint(2, degree))))
+        images = list(range(degree))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        gens.append(Perm(images))
+    return PermGroup(degree, gens)
+
+
+def bfs_closure_count(G):
+    seen = {Perm.identity(G.degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [h for g in frontier for s in G.generators if (h := g * s) not in seen]
+        seen.update(frontier)
+    return len(seen)
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 40))
+def test_order_matches_bfs_closure_on_random_groups(seed):
+    for s in range(seed, seed + 40):
+        G = random_small_group(s)
+        assert G.order() == bfs_closure_count(G), s
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 20))
+def test_d_matches_naive_oracle_on_random_groups(seed):
+    for s in range(seed, seed + 20):
+        G = random_small_group(s)
+        res = d_exact(G)
+        assert res.value == d_naive(G), s
+        assert generates(G, res.witness.elements)
+
+
+@pytest.mark.parametrize(
+    "make,witness",
+    [
+        pytest.param(
+            lambda: symmetric_group(4),
+            (
+                (0, 1, 3, 2),
+                (1, 2, 3, 0),
+            ),
+            id="sym(4)",
+        ),
+        pytest.param(
+            lambda: z_group(7, 3, 2),
+            (
+                (1, 2, 3, 4, 5, 6, 0, 9, 10, 11, 12, 13, 7, 8, 18, 19, 20, 14,
+                 15, 16, 17),
+                (7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0, 1, 2,
+                 3, 4, 5, 6),
+            ),
+            id="zgroup(7,3,2)",
+        ),
+        pytest.param(
+            lambda: s0_group(5).perm_group("nonzero"),
+            (
+                (0, 1, 2, 3, 19, 20, 21, 22, 23, 14, 15, 16, 17, 18, 9, 10, 11,
+                 12, 13, 4, 5, 6, 7, 8),
+                (1, 3, 0, 2, 14, 16, 18, 15, 17, 4, 6, 8, 5, 7, 19, 21, 23, 20,
+                 22, 9, 11, 13, 10, 12),
+                (4, 9, 14, 19, 0, 5, 10, 15, 20, 1, 6, 11, 16, 21, 2, 7, 12, 17,
+                 22, 3, 8, 13, 18, 23),
+            ),
+            id="s0(5)",
+        ),
+        pytest.param(
+            lambda: s0_group(9).perm_group("nonzero"),
+            (
+                (0, 1, 2, 3, 4, 5, 6, 7, 17, 18, 19, 20, 21, 22, 23, 24, 25, 8,
+                 9, 10, 11, 12, 13, 14, 15, 16, 53, 54, 55, 56, 57, 58, 59, 60,
+                 61, 71, 72, 73, 74, 75, 76, 77, 78, 79, 62, 63, 64, 65, 66, 67,
+                 68, 69, 70, 26, 27, 28, 29, 30, 31, 32, 33, 34, 44, 45, 46, 47,
+                 48, 49, 50, 51, 52, 35, 36, 37, 38, 39, 40, 41, 42, 43),
+                (3, 7, 4, 5, 0, 6, 1, 2, 44, 48, 52, 49, 50, 45, 51, 46, 47, 62,
+                 66, 70, 67, 68, 63, 69, 64, 65, 71, 75, 79, 76, 77, 72, 78, 73,
+                 74, 8, 12, 16, 13, 14, 9, 15, 10, 11, 26, 30, 34, 31, 32, 27,
+                 33, 28, 29, 35, 39, 43, 40, 41, 36, 42, 37, 38, 53, 57, 61, 58,
+                 59, 54, 60, 55, 56, 17, 21, 25, 22, 23, 18, 24, 19, 20),
+                (8, 17, 26, 35, 44, 53, 62, 71, 0, 9, 18, 27, 36, 45, 54, 63,
+                 72, 1, 10, 19, 28, 37, 46, 55, 64, 73, 2, 11, 20, 29, 38, 47,
+                 56, 65, 74, 3, 12, 21, 30, 39, 48, 57, 66, 75, 4, 13, 22, 31,
+                 40, 49, 58, 67, 76, 5, 14, 23, 32, 41, 50, 59, 68, 77, 6, 15,
+                 24, 33, 42, 51, 60, 69, 78, 7, 16, 25, 34, 43, 52, 61, 70, 79),
+            ),
+            id="s0(9)",
+        ),
+        pytest.param(
+            lambda: sl2(5).perm_group("nonzero"),
+            (
+                (0, 1, 2, 3, 5, 6, 7, 8, 4, 11, 12, 13, 9, 10, 17, 18, 14, 15,
+                 16, 23, 19, 20, 21, 22),
+                (4, 9, 14, 19, 3, 8, 13, 18, 23, 2, 7, 12, 17, 22, 1, 6, 11, 16,
+                 21, 0, 5, 10, 15, 20),
+            ),
+            id="sl2(5)",
+        ),
+        pytest.param(
+            lambda: table1_matrix_group(1).perm_group("nonzero"),
+            (
+                (0, 1, 2, 3, 19, 20, 21, 22, 23, 14, 15, 16, 17, 18, 9, 10, 11,
+                 12, 13, 4, 5, 6, 7, 8),
+                (1, 3, 0, 2, 9, 11, 13, 10, 12, 19, 21, 23, 20, 22, 4, 6, 8, 5,
+                 7, 14, 16, 18, 15, 17),
+                (19, 14, 9, 4, 3, 23, 18, 13, 8, 2, 22, 17, 12, 7, 1, 21, 16,
+                 11, 6, 0, 20, 15, 10, 5),
+            ),
+            id="G1 stabilizer",
+        ),
+        pytest.param(
+            lambda: agl1(37),
+            (
+                (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32,
+                 34, 36, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29,
+                 31, 33, 35),
+                (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+                 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34,
+                 35, 36, 0),
+            ),
+            id="agl1(37)",
+        ),
+    ],
+)
+def test_witnesses_are_pinned(make, witness):
+    # the first witness in the canonical order, small and large groups alike;
+    # reports quote witnesses, so a change of search must not move them
+    assert tuple(tuple(g.images) for g in d_exact(make()).witness.elements) == witness
 
 
 def test_witness_is_deterministic():

@@ -181,6 +181,35 @@ def test_point_stabilizer():
             assert len(G.orbit(alpha)) * G.point_stabilizer(alpha).order() == G.order()
 
 
+def test_point_stabilizer_reuses_the_chain_based_at_the_point(monkeypatch):
+    from gen32 import permgroup
+    from gen32.constructions import sl2, table1_group
+
+    G = table1_group(4)
+    based_at_1 = sl2(5).perm_group("all")
+    calls = []
+    real = permgroup.build_chain
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(permgroup, "build_chain", counting)
+    assert G.chain().base[0] == 0
+    G.point_stabilizer(0)
+    assert len(calls) == 1  # the group's own chain, and no second one
+    # the chain a forced base would give has the same strong generators
+    forced = real(G.degree, G.generators, (0,))
+    assert G.point_stabilizer(0).generators == tuple(forced.levels[1].gens)
+
+    assert based_at_1.chain().base[:2] == (1, 5)
+    calls.clear()
+    H = based_at_1.point_stabilizer(0)
+    assert [args[2:] for args in calls] == [((0,),)]
+    assert all(g.images[0] == 0 for g in H.generators)
+    assert len(based_at_1.orbit(0)) * H.order() == based_at_1.order()
+
+
 def test_orbits():
     g = Perm.from_cycles(6, [(0, 1, 2), (3, 4)])
     G = PermGroup(6, (g,))
