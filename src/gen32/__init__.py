@@ -28,7 +28,7 @@ from .constructions import (
     z_group_kernel_action,
 )
 from .errors import IndeterminateError, PreconditionError
-from .field import FieldElement, FieldSpec, field_make, multiplicative_order, primitive_element
+from .field import FieldElement, FieldSpec, field_make, primitive_element
 from .gens import (
     DResult,
     GenTuple,
@@ -38,15 +38,7 @@ from .gens import (
     d_lower_bound_abelian,
     generates,
 )
-from .matgroup import (
-    MatrixF,
-    MatrixGroup,
-    conjugate_in_ambient,
-    gl_order,
-    is_irreducible,
-    perm_from_matrix,
-    restrict_scalars,
-)
+from .matgroup import MatrixF, MatrixGroup, is_irreducible, perm_from_matrix
 from .permgroup import (
     CosetAction,
     Perm,
@@ -69,7 +61,6 @@ from .transitivity import (
     is_half_transitive,
     is_primitive,
     is_three_halves_transitive,
-    is_two_transitive,
     rank,
 )
 from .verify import (
@@ -103,7 +94,6 @@ __all__ = [
     "agl1",
     "all_abelian_subgroups_cyclic",
     "analyze",
-    "conjugate_in_ambient",
     "coset_action",
     "d_affine",
     "d_exact",
@@ -112,7 +102,6 @@ __all__ = [
     "extend_fixing_zero",
     "field_make",
     "generates",
-    "gl_order",
     "group_from_text",
     "group_to_text",
     "is_frobenius",
@@ -120,15 +109,12 @@ __all__ = [
     "is_irreducible",
     "is_primitive",
     "is_three_halves_transitive",
-    "is_two_transitive",
-    "multiplicative_order",
     "normal_closure",
     "normal_in",
     "perm_from_matrix",
     "perm_to_text",
     "primitive_element",
     "rank",
-    "restrict_scalars",
     "run_suite",
     "s0_group",
     "sl2",

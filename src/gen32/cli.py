@@ -17,6 +17,7 @@ Exit codes (no others are used):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -106,17 +107,19 @@ def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[], DResu
     raise UsageError(f"unknown construction kind {kind!r}")
 
 
-def _check_writable(out: str | None) -> None:
+def _check_writable(out: str | None) -> bool:
     """Fail before any work when ``--out`` cannot be written.  Opening for
     append creates a missing file but keeps an existing one's bytes until
-    ``_emit`` replaces them."""
+    ``_emit`` replaces them; returns whether the file was created."""
     if out is None:
-        return
+        return False
+    created = not os.path.exists(out)
     try:
         with open(out, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+    return created
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -322,15 +325,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    created = False
     try:
-        _check_writable(args.out)
-        return args.func(args)
+        created = _check_writable(args.out)
+        code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    if created and code in (2, 3):
+        # no report was written: leave no empty --out file behind
+        with contextlib.suppress(OSError):
+            os.remove(args.out)
+    return code
 
 
 if __name__ == "__main__":

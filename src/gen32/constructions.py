@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 from math import gcd
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .field import FieldSpec, field_make, prime_power, primitive_element
@@ -71,22 +72,29 @@ def s0_group(q: int) -> MatrixGroup:
 # affine groups
 
 
+def translations(field: FieldSpec, dim: int, codes: Iterable[int]) -> Iterator[Perm]:
+    """Permutations v -> v + u of the vector codes, one per code u, in
+    the given order.
+
+    A vector code is the base-p digit string of its coordinates' codes,
+    so v + u is a digit-wise sum mod p of the two codes.
+    """
+    p = field.p
+    weights = [p**i for i in range(field.m * dim)]
+    digits = [[v // w % p for w in weights] for v in range(field.q**dim)]
+    for u in codes:
+        du = digits[u]
+        yield Perm([sum((a + b) % p * w for a, b, w in zip(dv, du, weights)) for dv in digits])
+
+
 def translation_perms(field: FieldSpec, dim: int) -> list[Perm]:
-    """The dim standard-basis translations v -> v + e_i on vector codes."""
+    """The dim standard-basis translations v -> v + e_i on vector codes;
+    e_i has code q^i."""
     q = field.q
     total = q**dim
     if total > POINT_LIMIT:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
-    out = []
-    for i in range(dim):
-        block = q**i
-        images = [0] * total
-        for c in range(total):
-            digit = (c // block) % q
-            bumped = (field.element(digit) + field.one()).code
-            images[c] = c + (bumped - digit) * block
-        out.append(Perm(images))
-    return out
+    return list(translations(field, dim, (q**i for i in range(dim))))
 
 
 def extend_fixing_zero(g: Perm) -> Perm:

@@ -319,18 +319,6 @@ class FieldElement:
         return f"{self.code}@GF({self.field.q})"
 
 
-def multiplicative_order(a: FieldElement) -> int:
-    """Order of a in the multiplicative group; errors on zero."""
-    if a.is_zero():
-        raise PreconditionError("zero has no multiplicative order")
-    n = a.field.q - 1
-    order = n
-    for ell in prime_factors(n) if n > 1 else []:
-        while order % ell == 0 and (a ** (order // ell)).code == a.field.one().code:
-            order //= ell
-    return order
-
-
 def primitive_element(field: FieldSpec) -> FieldElement:
     """The canonical generator of the multiplicative group.
 

@@ -38,13 +38,13 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .constructions import affine_group, extend_fixing_zero
+from .constructions import affine_group, extend_fixing_zero, translations
 from .errors import IndeterminateError, PreconditionError
 from .field import prime_factors
 from .matgroup import MatrixGroup, is_irreducible
-from .permgroup import Perm, PermGroup, coset_action, derived_subgroup
+from .permgroup import Perm, PermGroup, coset_action, derived_subgroup, sylow_subgroup
 
 DEFAULT_BUDGET = 10**8
 D_ORDER_LIMIT = 10**5
@@ -434,20 +434,21 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     base = [extend_fixing_zero(g) for g in inner.witness.elements]
     while len(base) < value:
         base.append(identity)
+    codes = range(1, total)
     attempts = 0
     for j in range(value):
-        for t in _translations(G0):
+        for t in translations(G0.field, G0.dim, codes):
             cand = tuple(base[:j] + [base[j] * t] + base[j + 1 :])
             attempts += 1
             if attempts > budget:
                 raise IndeterminateError("translation-lift budget exhausted")
             if generates(A, cand):
                 return DResult(value=value, witness=GenTuple(cand, True), method=METHOD_SHORTCUT)
-    translations = list(_translations(G0))
+    shifts = list(translations(G0.field, G0.dim, codes))
     for j1 in range(value):
         for j2 in range(j1 + 1, value):
-            for t1 in translations:
-                for t2 in translations:
+            for t1 in shifts:
+                for t2 in shifts:
                     cand = list(base)
                     cand[j1] = cand[j1] * t1
                     cand[j2] = cand[j2] * t2
@@ -461,19 +462,6 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     raise IndeterminateError("no translation lift of the stabilizer witness generates")
 
 
-def _translations(G0: MatrixGroup) -> Iterator[Perm]:
-    """Permutations v -> v + u for every nonzero u, in code order.
-
-    A vector code is the base-p digit string of its coordinates' codes,
-    so v + u is a digit-wise sum mod p of the two codes.
-    """
-    f = G0.field
-    weights = [f.p**i for i in range(f.m * G0.dim)]
-    digits = [[v // w % f.p for w in weights] for v in range(f.q**G0.dim)]
-    for du in digits[1:]:
-        yield Perm([sum((a + b) % f.p * w for a, b, w in zip(dv, du, weights)) for dv in digits])
-
-
 def all_abelian_subgroups_cyclic(G: PermGroup) -> bool:
     """Whether every abelian subgroup of G is cyclic.
 
@@ -481,8 +469,6 @@ def all_abelian_subgroups_cyclic(G: PermGroup) -> bool:
     the Sylow 2-subgroup is cyclic or generalized quaternion (the only
     noncyclic 2-groups with a unique involution).
     """
-    from .permgroup import sylow_subgroup
-
     n = G.order()
     if n == 1:
         return True

@@ -7,8 +7,8 @@ length ``dim`` over GF(q) are serialized as integer point codes
 the permutation it induces on point codes is therefore a homomorphism
 onto a permutation group under the left-to-right product convention of
 :mod:`gen32.permgroup`, and all group-level questions about a matrix
-group (order, membership, conjugacy of generators) are settled on the
-faithful permutation image on nonzero vectors.
+group (order, membership) are settled on the faithful permutation image
+on nonzero vectors.
 
 The text format for matrix-group files is::
 
@@ -30,7 +30,6 @@ from .field import FieldElement, FieldSpec, field_make
 from .permgroup import Perm, PermGroup
 
 POINT_LIMIT = 10**6
-MATRIX_ORDER_LIMIT = 10**7
 
 
 class MatrixF:
@@ -76,13 +75,11 @@ class MatrixF:
             rows.append(row)
         return MatrixF(self.field, rows)
 
-    def _echelon(self) -> tuple[list[list[FieldElement]], FieldElement, list[list[FieldElement]]]:
-        """Gaussian elimination; returns (reduced, det, transform) where
-        transform * self == reduced over the course of row operations."""
+    def det(self) -> FieldElement:
+        """The determinant, by Gaussian elimination."""
         n = self.dim
         f = self.field
         work = [list(r) for r in self.rows]
-        aug = [list(MatrixF.identity(f, n).rows[i]) for i in range(n)]
         det = f.one()
         for col in range(n):
             pivot = None
@@ -91,47 +88,21 @@ class MatrixF:
                     pivot = r
                     break
             if pivot is None:
-                return work, f.zero(), aug
+                return f.zero()
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
-                aug[col], aug[pivot] = aug[pivot], aug[col]
                 det = -det
             inv = work[col][col].inv()
             det = det * work[col][col]
             work[col] = [x * inv for x in work[col]]
-            aug[col] = [x * inv for x in aug[col]]
             for r in range(n):
                 if r != col and not work[r][col].is_zero():
                     factor = work[r][col]
                     work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return work, det, aug
-
-    def det(self) -> FieldElement:
-        return self._echelon()[1]
+        return det
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()
-
-    def inverse(self) -> MatrixF:
-        reduced, det, aug = self._echelon()
-        if det.is_zero():
-            raise PreconditionError("matrix is singular")
-        return MatrixF(self.field, aug)
-
-    def order(self) -> int:
-        """Multiplicative order; requires invertibility, caps at 10^7."""
-        if not self.is_invertible():
-            raise PreconditionError("singular matrix has no multiplicative order")
-        ident = MatrixF.identity(self.field, self.dim)
-        acc = self
-        n = 1
-        while acc != ident:
-            acc = acc * self
-            n += 1
-            if n > MATRIX_ORDER_LIMIT:
-                raise PreconditionError("matrix order exceeds iteration cap")
-        return n
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -193,19 +164,15 @@ def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:
     total = q**M.dim
     if total > POINT_LIMIT:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
-    if action == "all":
-        images = [0] * total
-        for c in range(total):
-            images[c] = encode_vector(M.field, apply_vector(decode_vector(M.field, M.dim, c), M))
-        return Perm(images)
-    if action == "nonzero":
-        images = [0] * (total - 1)
-        for c in range(1, total):
-            images[c - 1] = (
-                encode_vector(M.field, apply_vector(decode_vector(M.field, M.dim, c), M)) - 1
-            )
-        return Perm(images)
-    raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
+    if action not in ("all", "nonzero"):
+        raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
+    offset = 0 if action == "all" else 1
+    return Perm(
+        [
+            encode_vector(M.field, apply_vector(decode_vector(M.field, M.dim, c), M)) - offset
+            for c in range(offset, total)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +211,6 @@ class MatrixGroup:
 
     def order(self) -> int:
         return self.perm_group("nonzero").order()
-
-    def elements(self, cap: int = 10**4) -> list[MatrixF]:
-        """All member matrices by breadth-first closure, capped."""
-        if self.order() > cap:
-            raise PreconditionError(f"matrix group order {self.order()} exceeds cap {cap}")
-        gens = [M for M in self.generators]
-        ident = MatrixF.identity(self.field, self.dim)
-        out = [ident]
-        seen = {ident}
-        layer = [ident]
-        while layer:
-            nxt = set()
-            for X in layer:
-                for M in gens:
-                    Y = X * M
-                    if Y not in seen:
-                        seen.add(Y)
-                        nxt.add(Y)
-            layer = sorted(nxt, key=MatrixF.codes)
-            out.extend(layer)
-        return out
 
     def __repr__(self) -> str:
         return f"MatrixGroup({self.field!r}, dim={self.dim}, {len(self.generators)} gens)"
@@ -322,95 +268,8 @@ def is_irreducible(G: MatrixGroup) -> bool:
     return True
 
 
-def restrict_scalars(G: MatrixGroup) -> MatrixGroup:
-    """Rewrite a matrix group over GF(p^m), m >= 2, as one over GF(p).
-
-    A vector of length dim over GF(p^m) is identified with the length
-    dim*m vector of its coordinates' polynomial coefficients; this is
-    exactly the base-p digit expansion of the point code, so the induced
-    permutation of point codes is literally unchanged.  Entry (j*m+i,
-    k*m+i') of the rewritten matrix is coefficient i' of x^i * M[j][k].
-    """
-    f = G.field
-    if f.m < 2:
-        raise PreconditionError("restrict_scalars needs a proper extension field")
-    base = field_make(f.p, 1)
-    x = f.element(f.p)  # the class of x has code p
-    x_pows = [f.one()]
-    for _ in range(f.m - 1):
-        x_pows.append(x_pows[-1] * x)
-    new_dim = G.dim * f.m
-    new_gens = []
-    for M in G.generators:
-        rows = [[base.zero()] * new_dim for _ in range(new_dim)]
-        for j in range(G.dim):
-            for k in range(G.dim):
-                entry = M.rows[j][k]
-                for i in range(f.m):
-                    prod = x_pows[i] * entry
-                    for i2 in range(f.m):
-                        rows[j * f.m + i][k * f.m + i2] = base.element(prod.coeffs[i2])
-        new_gens.append(MatrixF(base, rows))
-    return MatrixGroup(base, new_dim, new_gens)
-
-
-def gl_order(q: int, dim: int) -> int:
-    n = 1
-    for i in range(dim):
-        n *= q**dim - q**i
-    return n
-
-
-AMBIENT_LIMIT = 10**5
-
-
-def conjugate_in_ambient(A: MatrixGroup, B: MatrixGroup) -> MatrixF | None:
-    """Search GL(dim, q) for g with g^-1 A g = B; None if there is none.
-
-    The ambient general linear group is enumerated exhaustively in
-    ascending entry-code order, so the first valid conjugator in that
-    order is returned; validity is g^-1 a g in B for every generator a
-    of A together with |A| = |B|.  Requires |GL(dim, q)| <= 10^5.
-    """
-    if A.field != B.field or A.dim != B.dim:
-        raise PreconditionError("groups live in different ambient spaces")
-    f, n = A.field, A.dim
-    total_gl = gl_order(f.q, n)
-    if total_gl > AMBIENT_LIMIT:
-        raise PreconditionError(
-            f"|GL({n}, {f.q})| = {total_gl} exceeds the conjugacy-scan cap {AMBIENT_LIMIT}"
-        )
-    if A.order() != B.order():
-        return None
-    B_perm = B.perm_group("nonzero")
-    a_gens = A.generators
-    cells = n * n
-    for code in range(f.q**cells):
-        digits = []
-        c = code
-        for _ in range(cells):
-            c, r = divmod(c, f.q)
-            digits.append(r)
-        g = MatrixF.from_codes(f, [digits[i * n : (i + 1) * n] for i in range(n)])
-        if not g.is_invertible():
-            continue
-        g_inv = g.inverse()
-        if all(perm_from_matrix(g_inv * a * g, "nonzero") in B_perm for a in a_gens):
-            return g
-    return None
-
-
 # ---------------------------------------------------------------------------
 # matrix-group text format
-
-
-def matrix_group_to_text(G: MatrixGroup) -> str:
-    lines = [f"{G.field.p} {G.field.m} {G.dim}"]
-    for M in G.generators:
-        lines.append("")
-        for row in M.codes():
-            lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
 
 
 def matrix_group_from_text(text: str) -> MatrixGroup:

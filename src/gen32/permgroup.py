@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .field import is_prime
@@ -421,12 +421,14 @@ class PermGroup:
     def orbits(self) -> list[list[int]]:
         """All orbits, each sorted, ordered by their smallest point."""
         if self._orbits is None:
-            left = set(range(self.degree))
+            seen = [False] * self.degree
             out = []
-            while left:
-                o = self.orbit(min(left))
-                out.append(o)
-                left -= set(o)
+            for alpha in range(self.degree):
+                if not seen[alpha]:
+                    o = self.orbit(alpha)
+                    for x in o:
+                        seen[x] = True
+                    out.append(o)
             self._orbits = out
         return self._orbits
 
@@ -480,9 +482,6 @@ class PermGroup:
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
-
-    def exponent_divides(self, e: int) -> bool:
-        return all((x**e).is_identity() for x in self.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +592,6 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
     return CosetAction(group=group, reps=tuple(reps), coset_of=coset_of)
 
 
-def quotient_action(G: PermGroup, N: PermGroup) -> PermGroup:
-    """The quotient G/N as a permutation group on coset indices."""
-    return coset_action(G, N).group
-
-
 def sylow_subgroup(G: PermGroup, ell: int) -> PermGroup:
     """A Sylow ell-subgroup, grown deterministically.
 
@@ -628,26 +622,12 @@ def sylow_subgroup(G: PermGroup, ell: int) -> PermGroup:
     gens = [best[1]]
     current = PermGroup(G.degree, tuple(gens))
     while current.order() < target:
-        grown = False
         for y in ell_elems:
-            if y in current:
-                continue
-            if all(p.conj(y) in current for p in gens):
+            if y not in current and all(p.conj(y) in current for p in gens):
                 gens.append(y)
                 current = PermGroup(G.degree, tuple(gens))
-                grown = True
                 break
-        if not grown:
-            for y in ell_elems:
-                if y in current:
-                    continue
-                bigger = PermGroup(G.degree, tuple(gens) + (y,))
-                if _is_power_of(bigger.order(), ell):
-                    gens.append(y)
-                    current = bigger
-                    grown = True
-                    break
-        if not grown:
+        else:
             raise RuntimeError("sylow growth stalled")  # unreachable by Sylow theory
     return current
 

@@ -81,10 +81,6 @@ def rank(G: PermGroup) -> int:
     return len(G.point_stabilizer(0).orbits())
 
 
-def is_two_transitive(G: PermGroup) -> bool:
-    return G.degree >= 2 and G.is_transitive() and rank(G) == 2
-
-
 def is_three_halves_transitive(G: PermGroup) -> bool:
     """Transitive, nontrivial point stabilizer, and all stabilizer
     orbits away from the fixed point of equal size."""

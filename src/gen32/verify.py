@@ -173,19 +173,6 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
 # table2
 
 
-def _transitive_together(degree: int, perms: Sequence[Perm]) -> bool:
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for g in perms:
-            y = g.images[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == degree
-
-
 def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     """Every element of M0 of the given order, adjoined to G0's
     generators, must act transitively on the underlying points; the scan
@@ -194,7 +181,7 @@ def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     if not candidates:
         return False
     base = tuple(G0.generators)
-    return all(_transitive_together(M0.degree, base + (g,)) for g in candidates)
+    return all(PermGroup(M0.degree, base + (g,)).is_transitive() for g in candidates)
 
 
 def verify_table2() -> list[ClaimVerdict]:

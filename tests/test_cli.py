@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -311,6 +312,73 @@ def test_out_keeps_an_existing_file_until_the_report_is_written(tmp_path, capsys
     code, _, _ = run_cli(capsys, "analyze", "table1", "--i", "9", "--out", str(target))
     assert code == 3
     assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("reproduce", "--suite", "all", "--jobs", "0"), 2),
+        (("analyze", "s0"), 2),
+        (("analyze", "--in", "{bad}"), 2),
+        (("analyze", "table1", "--i", "7"), 3),
+    ],
+    ids=["bad-jobs", "missing-flag", "malformed-input", "precondition"],
+)
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_run_leaves_the_out_path_as_it_was(tmp_path, capsys, argv, exit_code, existing):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("degree 3\n0 0 1\n")
+    target = tmp_path / "x.json"
+    if existing:
+        target.write_text("old\n")
+    code, out, _ = run_cli(capsys, *(a.format(bad=bad) for a in argv), "--out", str(target))
+    assert code == exit_code
+    assert out == ""
+    if existing:
+        assert target.read_text() == "old\n"
+    else:
+        assert not target.exists()
+
+
+def mangle(text, rng):
+    """One random corruption of a group file."""
+    lines = text.splitlines()
+    kind = rng.choice(("drop", "duplicate", "non-integer", "truncate", "header"))
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    if kind == "header":
+        lines[0] = rng.choice(("", "degree", "degre 5", "degree x", "degree 0", "degree -3", "5"))
+        return "\n".join(lines) + "\n"
+    i = rng.randrange(len(lines)) if kind == "non-integer" else rng.randrange(1, len(lines))
+    toks = lines[i].split()
+    if kind == "drop":
+        del toks[rng.randrange(len(toks))]
+    elif kind == "duplicate":
+        j, k = rng.sample(range(len(toks)), 2)
+        toks[k] = toks[j]
+    else:
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(("x", "1.5", "-", "0x3", "2e1")))
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind_flags",
+    [("zgroup", "--m", "7", "--n", "3", "--r", "2"), ("agl1", "--q", "5")],
+    ids=["zgroup", "agl1"],
+)
+def test_mangled_input_is_exit_0_or_2(tmp_path, capsys, kind_flags):
+    _, text, _ = run_cli(capsys, "construct", *kind_flags)
+    rng = random.Random(20240607)
+    path = tmp_path / "g.txt"
+    for _ in range(60):
+        path.write_text(mangle(text, rng))
+        code, out, err = run_cli(capsys, "analyze", "--in", str(path), "--budget", "1000")
+        assert code in (0, 2), path.read_text()
+        if code == 0:
+            assert json.loads(out)["schema"] == "gen32/1"
+        else:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_console_entry_point_installed():

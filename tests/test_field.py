@@ -7,7 +7,6 @@ from gen32.field import (
     FieldSpec,
     field_make,
     is_prime,
-    multiplicative_order,
     prime_factors,
     prime_power,
     primitive_element,
@@ -125,7 +124,6 @@ def test_element_code_round_trip():
 def test_primitive_element_has_full_order(q):
     f = gf(q)
     w = primitive_element(f)
-    assert multiplicative_order(w) == q - 1
     powers = set()
     x = f.one()
     for _ in range(q - 1):
@@ -147,13 +145,13 @@ def test_primitive_element_is_canonical():
 def test_multiplicative_order_divides_group_order():
     f = gf(25)
     for e in list(f.elements())[1:]:
-        assert 24 % multiplicative_order(e) == 0
+        assert e**24 == f.one()
 
 
-def test_multiplicative_order_of_zero_rejected():
+def test_zero_has_no_inverse():
     f = gf(5)
     with pytest.raises(PreconditionError):
-        multiplicative_order(f.zero())
+        f.zero().inv()
 
 
 def test_field_make_is_cached():

@@ -9,11 +9,12 @@ from gen32.constructions import (
     sl2,
     table1_group,
     table1_matrix_group,
+    translation_perms,
+    translations,
     z_group,
 )
 from gen32.errors import IndeterminateError, PreconditionError
 from gen32.gens import (
-    _translations,
     all_abelian_subgroups_cyclic,
     d_affine,
     d_exact,
@@ -439,15 +440,17 @@ def translation_by_field_arithmetic(G0, u):
 )
 def test_translations_match_field_arithmetic(make):
     G0 = make()
-    total = G0.field.q**G0.dim
+    q, total = G0.field.q, G0.field.q**G0.dim
     expected = [translation_by_field_arithmetic(G0, u) for u in range(1, total)]
-    assert list(_translations(G0)) == expected
+    assert list(translations(G0.field, G0.dim, range(1, total))) == expected
+    # the basis translations v -> v + e_i, e_i of code q^i
+    assert translation_perms(G0.field, G0.dim) == [expected[q**i - 1] for i in range(G0.dim)]
 
 
 def test_translations_match_field_arithmetic_gf25():
     # 624 translations: compare a spread of codes, each at its position
     G0 = s0_group(25)
-    got = list(_translations(G0))
+    got = list(translations(G0.field, G0.dim, range(1, 625)))
     assert len(got) == 624
     for u in (1, 4, 5, 24, 25, 26, 137, 312, 600, 624):
         assert got[u - 1] == translation_by_field_arithmetic(G0, u)

@@ -19,7 +19,6 @@ from gen32.transitivity import (
     is_regular,
     is_semiregular,
     is_three_halves_transitive,
-    is_two_transitive,
     minimal_block_with,
     rank,
 )
@@ -72,11 +71,11 @@ def test_rank_requires_transitive():
 
 
 def test_two_transitive():
-    assert is_two_transitive(symmetric_group(3))
-    assert is_two_transitive(agl1(7))
-    assert not is_two_transitive(cyclic_regular(5))
-    assert not is_two_transitive(dihedral(5))
-    assert not is_two_transitive(table1_group(1))
+    assert analyze(symmetric_group(3)).two_transitive
+    assert analyze(agl1(7)).two_transitive
+    assert not analyze(cyclic_regular(5)).two_transitive
+    assert not analyze(dihedral(5)).two_transitive
+    assert not analyze(table1_group(1)).two_transitive
 
 
 def test_three_halves_transitive():
