@@ -127,20 +127,26 @@ class _AbelianFilter:
     prefix whose span S needs more new generators than there are open
     slots is dead, and the last slot may be restricted to elements whose
     image x satisfies <S, x> = A.  Coset indices of the derived
-    subgroup serve as labels for A's elements; index 0 is the identity.
+    subgroup D serve as labels for A's elements; index 0 is the identity.
     """
 
     __slots__ = ("size", "phi", "_mul", "_good", "_need")
 
-    def __init__(self, G: PermGroup):
-        D = derived_subgroup(G)
+    def __init__(self, G: PermGroup, D: PermGroup):
         ca = coset_action(G, D)
         self.size = len(ca.reps)
         self.phi = ca.coset_of
-        reps = ca.reps
-        self._mul = [
-            [ca.coset_of[reps[i] * reps[j]] for j in range(self.size)] for i in range(self.size)
-        ]
+        # Row a lists the labels a*j.  Row 0 is the identity, and as A is
+        # abelian, row a*g is row a moved by g's action on the cosets.
+        rows = {0: list(range(self.size))}
+        queue = [0]
+        for a in queue:
+            for q in ca.group.generators:
+                b = q.images[a]
+                if b not in rows:
+                    rows[b] = [q.images[x] for x in rows[a]]
+                    queue.append(b)
+        self._mul = [rows[a] for a in range(self.size)]
         self._good: dict[frozenset[int], frozenset[int]] = {}
         self._need: dict[frozenset[int], int] = {}
 
@@ -251,15 +257,14 @@ class _Search:
     # -- lazy heavy state --------------------------------------------------
 
     def _prepare(self) -> None:
+        """Enumerate G, and build the abelian filter when G/[G,G] is
+        nontrivial (a perfect group's filter rejects nothing) and small."""
         if self._elements is not None:
             return
         self._elements = self.G.elements()
-        try:
-            ab = _AbelianFilter(self.G)
-        except PreconditionError:
-            ab = None
-        if ab is not None and ab.size <= ABELIAN_FILTER_LIMIT:
-            self._ab = ab
+        D = derived_subgroup(self.G)
+        if 1 < self.n // D.order() <= ABELIAN_FILTER_LIMIT:
+            self._ab = _AbelianFilter(self.G, D)
 
     # -- public entry ------------------------------------------------------
 

@@ -19,12 +19,21 @@ verified bottom-up, so equal inputs always produce identical chains.
 Element enumeration, when a task genuinely needs it, is a breadth-first
 closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
+
+An element of a group is keyed by its base images: its images of the
+base points of the group's chain, ``g.images_of(base)``.  Only the
+identity of the group fixes every base point, so the key determines the
+element.  Keys compose without a degree-n product:
+key(x * g) = g.images_of(key(x)).  Element enumeration, conjugacy
+classes and coset labels look elements up by key, at |base| steps each,
+and build a product only for an element they have not seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -77,14 +86,18 @@ class Perm:
     def __mul__(self, other: Perm) -> Perm:
         return Perm._raw(tuple(map(other.images.__getitem__, self.images)))
 
+    def images_of(self, points: Sequence[int]) -> tuple[int, ...]:
+        """The images of the given points, in order."""
+        return tuple(map(self.images.__getitem__, points))
+
     def inv(self) -> Perm:
+        # cached one way only: a back-reference from the inverse would
+        # make every cached pair a reference cycle for the collector
         if self._inverse is None:
             out = [0] * len(self.images)
             for i, x in enumerate(self.images):
                 out[x] = i
-            inv = Perm._raw(tuple(out))
-            inv._inverse = self
-            self._inverse = inv
+            self._inverse = Perm._raw(tuple(out))
         return self._inverse
 
     def __pow__(self, e: int) -> Perm:
@@ -135,9 +148,6 @@ class Perm:
         for cyc in self.cycles():
             n = n * len(cyc) // gcd(n, len(cyc))
         return n
-
-    def fixed_point_count(self) -> int:
-        return sum(1 for i, x in enumerate(self.images) if i == x)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -377,7 +387,9 @@ class PermGroup:
 
         Layers are generated by right multiplication with the generators
         and each new layer is sorted lexicographically, so the resulting
-        order is reproducible.  Capped at 10^5 elements.
+        order is reproducible.  Elements are keyed by their base images,
+        so a product is built only for an element not seen before.
+        Capped at 10^5 elements.
         """
         if self._elements is None:
             if self.order() > ELEMENT_LIMIT:
@@ -385,19 +397,21 @@ class PermGroup:
                     f"group order {self.order()} exceeds element enumeration cap {ELEMENT_LIMIT}"
                 )
             gens = [g for g in self.generators if not g.is_identity()]
+            base = self.chain().base
             out = [self.identity()]
-            seen = {out[0]}
-            layer = out[:]
+            seen = {base}
+            layer = [(out[0], base)]
             while layer:
-                next_set = set()
-                for x in layer:
+                found = []
+                for x, key in layer:
                     for g in gens:
-                        y = x * g
-                        if y not in seen:
-                            seen.add(y)
-                            next_set.add(y)
-                layer = sorted(next_set)
-                out.extend(layer)
+                        key_y = g.images_of(key)
+                        if key_y not in seen:
+                            seen.add(key_y)
+                            found.append((x * g, key_y))
+                found.sort(key=lambda pair: pair[0].images)
+                out.extend(y for y, _ in found)
+                layer = found
             self._elements = out
         return self._elements
 
@@ -452,26 +466,37 @@ class PermGroup:
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy_classes(self) -> list[list[Perm]]:
-        """Conjugacy classes, each sorted, ordered by their least member."""
+        """Conjugacy classes, each sorted, ordered by their least member.
+
+        Elements are keyed by their base images and addressed by their
+        position in the sorted element list.  A conjugate is found by its
+        key alone, key(g^-1 x g)[i] = g[x[g^-1[b_i]]], without a product.
+        """
         if self._classes is None:
-            elems = self.elements()
-            gens = [g for g in self.generators if not g.is_identity()]
-            unassigned = set(elems)
+            elems = sorted(self.elements(), key=attrgetter("images"))
+            base = self.chain().base
+            position = {e.images_of(base): i for i, e in enumerate(elems)}
+            # per generator g: the points g^-1[b_i], and g itself
+            conjugators = [
+                (g.inv().images_of(base), g) for g in self.generators if not g.is_identity()
+            ]
+            assigned = [False] * len(elems)
             classes = []
-            for e in sorted(elems):
-                if e not in unassigned:
+            for i in range(len(elems)):
+                if assigned[i]:
                     continue
-                cls = {e}
-                queue = [e]
+                members = {i}
+                queue = [i]
                 while queue:
-                    x = queue.pop()
-                    for g in gens:
-                        y = x.conj(g)
-                        if y not in cls:
-                            cls.add(y)
-                            queue.append(y)
-                unassigned -= cls
-                classes.append(sorted(cls))
+                    x = elems[queue.pop()]
+                    for pre, g in conjugators:
+                        j = position[g.images_of(x.images_of(pre))]
+                        if j not in members:
+                            members.add(j)
+                            queue.append(j)
+                for j in members:
+                    assigned[j] = True
+                classes.append([elems[j] for j in sorted(members)])
             self._classes = classes
         return self._classes
 
@@ -568,26 +593,32 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
 
     Cosets are indexed in order of their lexicographically least element;
     the quotient generators are the actions of G's generators by right
-    multiplication.  The index is capped at 10^4.
+    multiplication.  Elements are keyed by their base images in G, so the
+    coset N e is labelled, and acted on, without a product.  The index is
+    capped at 10^4.
     """
     if not normal_in(N, G):
         raise PreconditionError("can only form the quotient by a normal subgroup")
     index = G.order() // N.order()
     if index > QUOTIENT_INDEX_LIMIT:
         raise PreconditionError(f"quotient index {index} exceeds cap {QUOTIENT_INDEX_LIMIT}")
-    n_elems = N.elements()
+    base = G.chain().base
+    elems = sorted(G.elements(), key=attrgetter("images"))
+    by_key = {e.images_of(base): e for e in elems}
+    n_keys = [n.images_of(base) for n in N.elements()]
     coset_of: dict[Perm, int] = {}
     reps: list[Perm] = []
-    for e in sorted(G.elements()):
+    for e in elems:
         if e in coset_of:
             continue
         idx = len(reps)
         reps.append(e)
-        for n in n_elems:
-            coset_of[n * e] = idx
+        for key in n_keys:
+            coset_of[by_key[e.images_of(key)]] = idx  # n * e
+    rep_keys = [r.images_of(base) for r in reps]
     images = []
     for g in G.generators:
-        images.append(Perm(tuple(coset_of[reps[c] * g] for c in range(index))))
+        images.append(Perm(tuple(coset_of[by_key[g.images_of(key)]] for key in rep_keys)))
     group = PermGroup(index, tuple(images))
     return CosetAction(group=group, reps=tuple(reps), coset_of=coset_of)
 

@@ -23,7 +23,14 @@ from gen32.gens import (
 )
 from gen32.matgroup import MatrixGroup, decode_vector, encode_vector
 from gen32.field import field_make
-from gen32.permgroup import Perm, PermGroup, symmetric_group
+from gen32.permgroup import (
+    Perm,
+    PermGroup,
+    coset_action,
+    derived_subgroup,
+    normal_closure,
+    symmetric_group,
+)
 
 
 def quaternion8():
@@ -174,6 +181,77 @@ def test_order_matches_bfs_closure_on_random_groups(seed):
     for s in range(seed, seed + 40):
         G = random_small_group(s)
         assert G.order() == bfs_closure_count(G), s
+
+
+# Oracles for the base-image keys: each recomputes with full products.
+# The three families have chain bases shorter than their degree.
+KEYED_CORPUS = [
+    pytest.param(lambda: [random_small_group(s) for s in range(100)], id="random"),
+    pytest.param(lambda: [agl1(13)], id="agl1(13)"),
+    pytest.param(lambda: [sl2(5).perm_group("all")], id="sl2(5)-all"),
+    pytest.param(lambda: [s0_group(9).perm_group("all")], id="s0(9)-all"),
+]
+
+
+def elements_by_products(G):
+    """Breadth-first closure from the identity, layers sorted."""
+    gens = [g for g in G.generators if not g.is_identity()]
+    out = [G.identity()]
+    seen = set(out)
+    layer = out
+    while layer:
+        layer = sorted({y for x in layer for g in gens if (y := x * g) not in seen})
+        seen.update(layer)
+        out = out + layer
+    return out
+
+
+def classes_by_definition(G):
+    """{g^-1 x g : g in G} for each x, ordered by least member."""
+    elems = elements_by_products(G)
+    classes, done = [], set()
+    for x in sorted(elems):
+        if x not in done:
+            cls = sorted({g.inv() * x * g for g in elems})
+            done.update(cls)
+            classes.append(cls)
+    return classes
+
+
+def coset_labels_by_products(G, N):
+    """Coset reps and labels n * e, in the order coset_action makes them."""
+    reps, coset_of = [], {}
+    for e in sorted(elements_by_products(G)):
+        if e not in coset_of:
+            reps.append(e)
+            for n in elements_by_products(N):
+                coset_of[n * e] = len(reps) - 1
+    return reps, coset_of
+
+
+@pytest.mark.parametrize("make", KEYED_CORPUS)
+def test_elements_match_product_closure(make):
+    for G in make():
+        assert G.elements() == elements_by_products(G)
+
+
+@pytest.mark.parametrize("make", KEYED_CORPUS)
+def test_conjugacy_classes_match_definition(make):
+    for G in make():
+        assert G.conjugacy_classes() == classes_by_definition(G)
+
+
+@pytest.mark.parametrize("make", KEYED_CORPUS)
+def test_coset_labels_match_products(make):
+    for G in make():
+        trivial = PermGroup(G.degree, ())
+        for N in (trivial, derived_subgroup(G), normal_closure(G, G.generators[-1:])):
+            ca = coset_action(G, N)
+            reps, coset_of = coset_labels_by_products(G, N)
+            assert ca.reps == tuple(reps)
+            assert list(ca.coset_of.items()) == list(coset_of.items())
+            action = tuple(Perm([coset_of[r * g] for r in reps]) for g in G.generators)
+            assert ca.group.generators == action
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 20))

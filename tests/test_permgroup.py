@@ -1,8 +1,10 @@
+import gc
 import math
 from itertools import combinations
 
 import pytest
 
+from gen32.constructions import agl1, sl2
 from gen32.errors import PreconditionError
 from gen32.permgroup import (
     ElementTable,
@@ -87,7 +89,7 @@ def test_perm_validation():
 
 def test_perm_fixed_points_and_min_moved():
     g = Perm.from_cycles(6, [(2, 4)])
-    assert g.fixed_point_count() == 4
+    assert sum(1 for i, x in enumerate(g.images) if i == x) == 4
     assert g.min_moved() == 2
     with pytest.raises(PreconditionError):
         Perm.identity(3).min_moved()
@@ -271,7 +273,23 @@ def test_class_equation_and_invariance():
                 for s in G.generators:
                     assert g.conj(s) in set(cls)
         assert len(seen) == G.order()
-    assert len(G.conjugacy_class_reps()) == len(G.conjugacy_classes())
+        assert len(G.conjugacy_class_reps()) == len(G.conjugacy_classes())
+
+
+def test_groups_leave_no_cyclic_garbage():
+    """Dropped groups are freed by reference counting alone: no chain,
+    cached inverse or class list forms a reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        groups = [agl1(13), sl2(5).perm_group("nonzero")]
+        for G in groups:
+            G.order()
+            G.conjugacy_classes()
+        del groups, G
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,11 @@ def frobenius_by_enumeration(G):
     element fixes at most one point."""
     if not G.is_transitive() or G.order() == G.degree:
         return False
-    return all(g.fixed_point_count() <= 1 for g in G.elements() if not g.is_identity())
+    return all(
+        sum(1 for i, x in enumerate(g.images) if i == x) <= 1
+        for g in G.elements()
+        if not g.is_identity()
+    )
 
 
 def primitive_by_full_sweep(G):
