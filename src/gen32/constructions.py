@@ -38,6 +38,7 @@ from .matgroup import (
     MatrixF,
     MatrixGroup,
     POINT_LIMIT,
+    add_codes,
     matrix_group_from_text,
     perm_from_matrix,
 )
@@ -77,14 +78,12 @@ def translations(field: FieldSpec, dim: int, codes: Iterable[int]) -> Iterator[P
     the given order.
 
     A vector code is the base-p digit string of its coordinates' codes,
-    so v + u is a digit-wise sum mod p of the two codes.
+    so v + u is a digit-wise sum mod p of the two codes (``add_codes``).
     """
     p = field.p
-    weights = [p**i for i in range(field.m * dim)]
-    digits = [[v // w % p for w in weights] for v in range(field.q**dim)]
+    points = range(field.q**dim)
     for u in codes:
-        du = digits[u]
-        yield Perm([sum((a + b) % p * w for a, b, w in zip(dv, du, weights)) for dv in digits])
+        yield Perm([add_codes(p, v, u) for v in points])
 
 
 def translation_perms(field: FieldSpec, dim: int) -> list[Perm]:

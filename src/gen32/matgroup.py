@@ -139,6 +139,25 @@ def decode_vector(field: FieldSpec, dim: int, code: int) -> tuple[FieldElement, 
     return tuple(out)
 
 
+def add_codes(p: int, a: int, b: int) -> int:
+    """The code of the sum of the vectors (or field elements) of codes a
+    and b over a field of characteristic p.
+
+    Codes are base-p digit strings of the coordinates' polynomial
+    coefficients, so the sum adds them digit by digit mod p; for p = 2
+    that is XOR.
+    """
+    if p == 2:
+        return a ^ b
+    out, weight = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + y) % p * weight
+        weight *= p
+    return out
+
+
 def apply_vector(vec: Sequence[FieldElement], M: MatrixF) -> tuple[FieldElement, ...]:
     """v * M for a row vector v."""
     n = M.dim
@@ -157,22 +176,31 @@ def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:
     ``action`` is ``"all"`` (degree q^dim, zero vector = point 0) or
     ``"nonzero"`` (degree q^dim - 1, vector of code c+1 = point c).  The
     matrix must be invertible and the point count is capped at 10^6.
+
+    Images are built in code order by linearity.  For r < q^j the code
+    d*q^j + r is the vector d*e_j + r, so its image is
+    image(d*q^j) + image(r): only the images d * (row j of M) of the
+    q*dim vectors d*e_j use field arithmetic, and every other point
+    costs one code addition.
     """
     if not M.is_invertible():
         raise PreconditionError("only invertible matrices induce permutations")
-    q = M.field.q
-    total = q**M.dim
+    f = M.field
+    total = f.q**M.dim
     if total > POINT_LIMIT:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
     if action not in ("all", "nonzero"):
         raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
-    offset = 0 if action == "all" else 1
-    return Perm(
-        [
-            encode_vector(M.field, apply_vector(decode_vector(M.field, M.dim, c), M)) - offset
-            for c in range(offset, total)
-        ]
-    )
+    images = [0]
+    for row in M.rows:
+        lower = images[:]
+        for d in range(1, f.q):
+            scalar = f.element(d)
+            head = encode_vector(f, [scalar * x for x in row])
+            images.extend(add_codes(f.p, head, r) for r in lower)
+    if action == "all":
+        return Perm(images)
+    return Perm([x - 1 for x in images[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ Group-level computations run over a stabilizer chain built by a
 deterministic incremental Schreier-Sims procedure: base points are always
 the smallest point moved by the offending element, and the chain is
 verified bottom-up, so equal inputs always produce identical chains.
+Elements are sifted through a chain on their base images alone, and a
+sifted element is compared with the product of the transversal elements
+divided off, so membership tests and the chain's verification build no
+product per sifted level and no inverse of a transversal element.
 Element enumeration, when a task genuinely needs it, is a breadth-first
 closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
@@ -25,8 +29,14 @@ base points of the group's chain, ``g.images_of(base)``.  Only the
 identity of the group fixes every base point, so the key determines the
 element.  Keys compose without a degree-n product:
 key(x * g) = g.images_of(key(x)).  Element enumeration, conjugacy
-classes and coset labels look elements up by key, at |base| steps each,
-and build a product only for an element they have not seen.
+classes, coset labels and the rows of an ``ElementTable`` look elements
+up by key, at |base| steps each, and build a product only for an element
+they have not seen.
+
+The subgroup census (``subgroups_up_to_conjugacy``) works one conjugacy
+class at a time: a subgroup is generated by a maximal subgroup of it and
+one element of prime-power order, so extending one representative per
+class by the prime-power-order cyclic subgroups reaches every class.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import is_prime
+from .field import is_prime, prime_factors
 
 ELEMENT_LIMIT = 10**5
 SUBGROUP_CENSUS_LIMIT = 2000
@@ -117,7 +127,7 @@ class Perm:
         return g.inv() * self * g
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def min_moved(self) -> int:
         """Smallest point moved; errors on the identity."""
@@ -200,29 +210,48 @@ class StabChain:
             n *= len(level.orbit)
         return n
 
-    def strip(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
-        """Sift g through levels from ``start``; returns (residue, depth).
+    def sift(self, images: list[int], start: int = 0) -> tuple[list[tuple[int, ...]], int]:
+        """Sift an element x, given by its images of the base points of
+        the levels from ``start``, through those levels.
 
-        The residue fixes the base points of all levels < depth; g is in
-        the group iff start == 0, depth == len(levels) and the residue is
-        the identity.
+        Returns the image tuples of the transversal elements u_1, u_2,
+        ..., u_k divided off, in order, and the depth reached.  The residue
+        x * u_1^-1 * ... * u_k^-1 fixes the base points of the levels
+        from start up to depth, and it is the identity exactly when
+        x == u_k * ... * u_1.  x is in the group iff start == 0,
+        depth == len(levels) and the residue is the identity.  Only base
+        images are moved, by u^-1[y] = u.images.index(y), so no inverse
+        is built.
         """
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            delta = g.images[level.point]
-            if delta == level.point:
+        levels = self.levels
+        divisors = []
+        for i in range(start, len(levels)):
+            delta, *images = images
+            if delta == levels[i].point:
                 continue
-            u = level.transversal.get(delta)
+            u = levels[i].transversal.get(delta)
             if u is None:
-                return g, i
-            g = g * u.inv()
-        return g, len(self.levels)
+                return divisors, i
+            divisors.append(u.images)
+            images = [u.images.index(y) for y in images]
+        return divisors, len(levels)
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             return False
-        residue, depth = self.strip(g)
-        return depth == len(self.levels) and residue.is_identity()
+        divisors, depth = self.sift(list(g.images_of(self.base)))
+        return depth == len(self.levels) and g.images == _compose(
+            [tuple(range(self.degree)), *reversed(divisors)]
+        )
+
+
+def _compose(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The image tuple of a product of image tuples applied left to
+    right, built in one pass over the points."""
+    images: Iterable[int] = factors[0]
+    for f in factors[1:]:
+        images = map(f.__getitem__, images)
+    return tuple(images)
 
 
 def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[int] = ()) -> StabChain:
@@ -234,6 +263,19 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
     deepest level upward; any Schreier generator that fails to sift is
     appended as a strong generator of every level it fixes, and
     verification resumes at the deepest level it touched.
+
+    The Schreier generator of an orbit point gamma and a level generator
+    s is h = u_gamma * s * u_delta^-1, with delta = s[gamma]; it fixes
+    the base points of its level and of every earlier one.  When
+    (gamma, s) is an edge of the orbit's breadth-first tree, h is the
+    identity and no product is formed.  Otherwise h's images of the later
+    base points are read off u_gamma, s and u_delta (u_delta^-1 is looked
+    up only where u_gamma * s and u_delta disagree) and sifted through the
+    later levels on base images alone.  If that divides off u_1 .. u_k,
+    h sifts to the identity exactly when
+    u_gamma * s == u_k * ... * u_1 * u_delta: two compositions of image
+    tuples and no inverse.  Only a residue that becomes a new strong
+    generator is built as a permutation.
     """
     identity = Perm.identity(degree)
     gens = [g for g in generators if not g.is_identity()]
@@ -270,19 +312,24 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
     if not levels:
         return StabChain(degree, [])
 
+    # per level, the (gamma, generator index) edges of the orbit's tree
+    tree_edges: dict[int, set[tuple[int, int]]] = {}
+
     def close(i: int) -> None:
         level = levels[i]
         level.orbit = [level.point]
         level.transversal = {level.point: identity}
+        tree = tree_edges[i] = set()
         k = 0
         while k < len(level.orbit):
             gamma = level.orbit[k]
             u = level.transversal[gamma]
-            for s in level.gens:
+            for e, s in enumerate(level.gens):
                 delta = s.images[gamma]
                 if delta not in level.transversal:
                     level.transversal[delta] = u * s
                     level.orbit.append(delta)
+                    tree.add((gamma, e))
             k += 1
 
     for i in range(len(levels)):
@@ -292,18 +339,27 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
     i = len(levels) - 1
     while i >= 0:
         level = levels[i]
+        tree = tree_edges[i]
+        later = [lv.point for lv in levels[i + 1 :]]
         modified_at = None
         for gamma in level.orbit:
-            u_gamma = level.transversal[gamma]
-            for s in level.gens:
-                delta = s.images[gamma]
-                u_delta = level.transversal[delta]
-                sg = u_gamma * s
-                if sg.images == u_delta.images:
+            u_gamma = level.transversal[gamma].images
+            for e, s in enumerate(level.gens):
+                if (gamma, e) in tree:
                     continue
-                residue, j = chain.strip(sg * u_delta.inv(), i + 1)
-                if residue.is_identity():
+                s_images = s.images
+                u_delta = level.transversal[s_images[gamma]].images
+                # the base images of u_gamma * s * u_delta^-1 on later levels
+                images = []
+                for b in later:
+                    y = s_images[u_gamma[b]]
+                    images.append(b if y == u_delta[b] else u_delta.index(y))
+                divisors, j = chain.sift(images, i + 1)
+                product = _compose([u_gamma, s_images])
+                quotient = _compose([*reversed(divisors), u_delta])
+                if product == quotient:
                     continue
+                residue = Perm._raw(_compose([product, Perm._raw(quotient).inv().images]))
                 if j == len(levels):
                     add_level_for(residue)
                 for l in range(i + 1, j + 1):
@@ -678,11 +734,14 @@ class ElementTable:
 
     Elements are sorted lexicographically and addressed by index, so ids
     are canonical for the group as a set.  Rows of the multiplication
-    table are built on first use.  Its one client is the subgroup census,
-    ``subgroups_up_to_conjugacy``.
+    table are built on first use, from base-image keys: the id of e * f
+    is looked up by f.images_of(key(e)), without a product.  Its one
+    client is the subgroup census, ``subgroups_up_to_conjugacy``, which
+    calls ``closure`` once per extension it tries and ``conjugate_set``
+    once per element for each class it finds.
     """
 
-    __slots__ = ("group", "elements", "index", "_rows", "_inv", "_id")
+    __slots__ = ("group", "elements", "index", "_base", "_by_key", "_rows", "_inv", "_id")
 
     def __init__(self, group: PermGroup):
         if group.order() > SUBGROUP_CENSUS_LIMIT:
@@ -692,6 +751,8 @@ class ElementTable:
         self.group = group
         self.elements = sorted(group.elements())
         self.index = {e: i for i, e in enumerate(self.elements)}
+        self._base = group.chain().base
+        self._by_key = {e.images_of(self._base): i for i, e in enumerate(self.elements)}
         self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._inv: list[int | None] = [None] * len(self.elements)
         self._id = self.index[group.identity()]
@@ -706,8 +767,9 @@ class ElementTable:
     def row(self, i: int) -> list[int]:
         r = self._rows[i]
         if r is None:
-            e = self.elements[i]
-            r = [self.index[e * f] for f in self.elements]
+            key = self.elements[i].images_of(self._base)
+            by_key = self._by_key
+            r = [by_key[f.images_of(key)] for f in self.elements]
             self._rows[i] = r
         return r
 
@@ -766,53 +828,60 @@ class SubgroupClass:
 
 def subgroups_up_to_conjugacy(G: PermGroup) -> list[SubgroupClass]:
     """All subgroups of a small group, one representative per conjugacy
-    class.
+    class, by cyclic extension one class at a time.
 
-    Every subgroup is reached by closing the set of cyclic subgroups
-    under one-element extensions: any subgroup S properly containing a
-    maximal subgroup M satisfies S = <M, x> for each x in S - M, so
-    induction on order reaches everything.  The representative of a
-    class is the member whose sorted element-id tuple is least among its
-    conjugates; classes are returned sorted by (order, that tuple).
+    A subgroup S > 1 has a maximal subgroup M, and S is generated by its
+    elements of prime-power order, so some such x in S - M gives
+    S = <M, x>.  Conjugating S so that M becomes the representative of
+    its class, every class is therefore reached from the trivial group
+    by extending each class representative by one generator of every
+    prime-power-order cyclic subgroup it does not contain.  A subgroup
+    not seen before is conjugated by every element once and all its
+    conjugates are marked as seen.  The representative of a class is the
+    conjugate whose sorted element-id tuple is least, generated by the
+    discovering generators conjugated the same way; classes are
+    returned sorted by (order, that tuple).
     """
     table = ElementTable(G)
     n = len(table)
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    worklist: list[frozenset[int]] = []
-    for i in range(n):
-        sub = table.cyclic(i)
-        if sub not in found:
-            found[sub] = (i,) if i != table.identity_id else ()
-            worklist.append(sub)
+    # one generator, the least id, of each prime-power-order cyclic subgroup
+    extenders: list[int] = []
+    cyclic_seen: set[frozenset[int]] = set()
+    for x in range(n):
+        sub = table.cyclic(x)
+        if len(prime_factors(len(sub))) == 1 and sub not in cyclic_seen:
+            cyclic_seen.add(sub)
+            extenders.append(x)
+    seen: set[frozenset[int]] = set()
+    # per class: (sorted id tuple, generator ids, number of conjugates)
+    classes: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+
+    def add_class(sub: frozenset[int], gens: tuple[int, ...]) -> None:
+        conjugates: dict[frozenset[int], int] = {}
+        for g in range(n):
+            conjugates.setdefault(table.conjugate_set(sub, g), g)
+        seen.update(conjugates)
+        key, g = min((tuple(sorted(c)), g) for c, g in conjugates.items())
+        g_inv = table.inv(g)
+        rep_gens = tuple(table.mul(table.mul(g_inv, x), g) for x in gens)
+        classes.append((key, rep_gens, len(conjugates)))
+
+    add_class(frozenset((table.identity_id,)), ())
     w = 0
-    while w < len(worklist):
-        sub = worklist[w]
+    while w < len(classes):
+        key, gens, _ = classes[w]
         w += 1
-        gens = found[sub]
-        for x in range(n):
-            if x in sub:
+        members = set(key)
+        for x in extenders:
+            if x in members:
                 continue
             bigger = table.closure(gens + (x,))
-            if bigger not in found:
-                found[bigger] = gens + (x,)
-                worklist.append(bigger)
-    # group into conjugacy classes by canonical (least) conjugate key
-    all_ids = range(n)
-    classes: dict[tuple[int, ...], list[frozenset[int]]] = {}
-    for sub in found:
-        seen_conj = {sub}
-        for g in all_ids:
-            seen_conj.add(table.conjugate_set(sub, g))
-        key = min(tuple(sorted(c)) for c in seen_conj)
-        classes.setdefault(key, [])
-        if sub not in classes[key]:
-            classes[key].append(sub)
+            if bigger not in seen:
+                add_class(bigger, gens + (x,))
     out = []
-    for key in sorted(classes, key=lambda k: (len(k), k)):
-        rep_set = frozenset(key)
-        gens = found[rep_set]
+    for key, gens, size in sorted(classes, key=lambda c: (len(c[0]), c[0])):
         rep = PermGroup(G.degree, tuple(table.elements[i] for i in gens))
-        out.append(SubgroupClass(representative=rep, order=len(key), class_size=len(classes[key])))
+        out.append(SubgroupClass(representative=rep, order=len(key), class_size=size))
     return out
 
 

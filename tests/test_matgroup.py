@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
+from gen32.constructions import table1_matrix_group, table2_matrix_group
 from gen32.errors import PreconditionError
 from gen32.field import field_make, prime_power
 from gen32.matgroup import (
     MatrixF,
     MatrixGroup,
+    add_codes,
     apply_vector,
     decode_vector,
     encode_vector,
@@ -14,6 +17,7 @@ from gen32.matgroup import (
     matrix_group_from_text,
     perm_from_matrix,
 )
+from gen32.permgroup import Perm
 
 
 def gf(q):
@@ -147,6 +151,63 @@ def test_perm_from_matrix_nonzero_point_meaning():
         assert p.images[point] == encode_vector(f, image) - 1
 
 
+def perm_by_field_arithmetic(M, action):
+    """Every point decoded, multiplied by M with FieldElement arithmetic
+    and encoded again: the reference for perm_from_matrix."""
+    f, offset = M.field, (0 if action == "all" else 1)
+    return Perm(
+        [
+            encode_vector(f, apply_vector(decode_vector(f, M.dim, c), M)) - offset
+            for c in range(offset, f.q**M.dim)
+        ]
+    )
+
+
+BUNDLED_MATRIX_GROUPS = [table1_matrix_group(i) for i in (1, 2, 3, 4)] + [
+    table2_matrix_group(i) for i in (1, 2)
+]
+
+
+def random_invertible(rng, f, dim):
+    while True:
+        M = MatrixF.from_codes(f, [[rng.randrange(f.q) for _ in range(dim)] for _ in range(dim)])
+        if M.is_invertible():
+            return M
+
+
+def test_perm_from_matrix_matches_field_arithmetic_on_bundled_groups():
+    for G in BUNDLED_MATRIX_GROUPS:
+        for M in G.generators:
+            for action in ("nonzero", "all"):
+                assert perm_from_matrix(M, action) == perm_by_field_arithmetic(M, action)
+
+
+# GF(p), GF(p^2) and GF(2^k), each in the dimensions that stay small
+@pytest.mark.parametrize(
+    "q,dims",
+    [(2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (2, 3)), (7, (2,)), (4, (1, 2, 3)), (9, (2,)),
+     (25, (2,)), (8, (2,)), (16, (2,))],
+)
+def test_perm_from_matrix_matches_field_arithmetic_on_random_matrices(q, dims):
+    rng = random.Random(q)
+    f = gf(q)
+    for dim in dims:
+        for _ in range(6):
+            M = random_invertible(rng, f, dim)
+            for action in ("nonzero", "all"):
+                assert perm_from_matrix(M, action) == perm_by_field_arithmetic(M, action)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27])
+def test_add_codes_is_vector_addition(q):
+    f = gf(q)
+    rng = random.Random(q)
+    for _ in range(200):
+        a, b = rng.randrange(q**3), rng.randrange(q**3)
+        va, vb = decode_vector(f, 3, a), decode_vector(f, 3, b)
+        assert add_codes(f.p, a, b) == encode_vector(f, [x + y for x, y in zip(va, vb)])
+
+
 # ---------------------------------------------------------------------------
 # MatrixGroup
 
@@ -240,7 +301,7 @@ def matrix_group_text(G):
 def test_matrix_group_text_round_trip():
     from gen32.constructions import s0_group, sl2
 
-    for G in (s0_group(5), s0_group(9), sl2(5)):
+    for G in (s0_group(5), s0_group(9), sl2(5), *BUNDLED_MATRIX_GROUPS):
         text = matrix_group_text(G)
         H = matrix_group_from_text(text)
         assert H.field.q == G.field.q

@@ -1,10 +1,18 @@
 import gc
 import math
+import random
 from itertools import combinations
 
 import pytest
 
-from gen32.constructions import agl1, sl2
+from gen32.constructions import (
+    agl1,
+    sl2,
+    table1_group,
+    table1_matrix_group,
+    table2_group,
+    table2_matrix_group,
+)
 from gen32.errors import PreconditionError
 from gen32.permgroup import (
     ElementTable,
@@ -99,6 +107,69 @@ def test_perm_lex_order():
     assert Perm([0, 1, 2]) < Perm([0, 2, 1]) < Perm([1, 0, 2])
 
 
+def random_perm(rng, degree):
+    images = list(range(degree))
+    rng.shuffle(images)
+    return Perm(images)
+
+
+def random_group(seed):
+    """A group of degree 1..9 from ``random.Random(seed)``: 1-4
+    generators, each a uniformly random permutation or a random cycle."""
+    rng = random.Random(seed)
+    degree = rng.randint(1, 9)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            gens.append(random_perm(rng, degree))
+        else:
+            cycle = rng.sample(range(degree), rng.randint(1, degree))
+            gens.append(Perm.from_cycles(degree, [cycle]))
+    return PermGroup(degree, gens)
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 100))
+def test_perm_algebra_on_random_permutations(seed):
+    for s in range(seed, seed + 100):
+        rng = random.Random(s)
+        n = rng.randint(1, 12)
+        a, b, c = (random_perm(rng, n) for _ in range(3))
+        e = Perm.identity(n)
+        assert (a * b) * c == a * (b * c)
+        assert a * e == a == e * a
+        assert a * a.inv() == e == a.inv() * a
+        assert a.inv().inv() == a
+        assert (a * b).inv() == b.inv() * a.inv()
+        k = rng.randint(1, 7)
+        assert a**0 == e
+        assert a ** (k + 1) == a**k * a
+        assert a**-k == a.inv() ** k == (a**k).inv()
+        assert a ** -a.order() == e
+        points = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+        assert a.images_of(points) == tuple(a[x] for x in points)
+        assert (a * b).images_of(points) == b.images_of(a.images_of(points))
+        assert e.is_identity()
+        assert a.is_identity() == (a == e) == all(a[x] == x for x in range(n))
+        assert (a * a.inv()).is_identity()
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 25))
+def test_keys_compose_and_determine_elements(seed):
+    # key(x) = x.images_of(base): key(x * g) == g.images_of(key(x)), and
+    # distinct elements of the group have distinct keys
+    for s in range(seed, seed + 25):
+        G = random_group(s)
+        if G.order() > 5000:
+            continue
+        rng = random.Random(s)
+        base = G.chain().base
+        elems = G.elements()
+        assert len({x.images_of(base) for x in elems}) == len(elems)
+        for _ in range(10):
+            x, g = rng.choice(elems), rng.choice(elems)
+            assert (x * g).images_of(base) == g.images_of(x.images_of(base))
+
+
 # ---------------------------------------------------------------------------
 # orders via the stabilizer chain
 
@@ -145,6 +216,134 @@ def test_chain_order_equals_element_closure():
             frontier = nxt
         assert G.order() == len(elems)
         assert set(G.elements()) == elems
+
+
+def chain_by_strip(degree, generators, initial_base=()):
+    """Schreier-Sims with two products per Schreier generator and one
+    per sifted level: the reference for build_chain.  Returns one
+    (point, strong generators, orbit, transversal) per level."""
+    identity = Perm.identity(degree)
+    gens = [g for g in generators if g != identity]
+    points, level_gens, orbits, transversals = [], [], [], []
+
+    def add_level(pt):
+        points.append(pt)
+        level_gens.append([])
+        orbits.append(None)
+        transversals.append(None)
+
+    def prefix_fixed(g, upto):
+        return all(g[points[i]] == points[i] for i in range(upto))
+
+    def close(i):
+        orbit, transversal = [points[i]], {points[i]: identity}
+        for gamma in orbit:
+            for s in level_gens[i]:
+                if s[gamma] not in transversal:
+                    transversal[s[gamma]] = transversal[gamma] * s
+                    orbit.append(s[gamma])
+        orbits[i], transversals[i] = orbit, transversal
+
+    def strip(g, start):
+        for i in range(start, len(points)):
+            delta = g[points[i]]
+            if delta != points[i]:
+                if delta not in transversals[i]:
+                    return g, i
+                g = g * transversals[i][delta].inv()
+        return g, len(points)
+
+    for pt in initial_base:
+        if pt not in points:
+            add_level(pt)
+    for g in gens:
+        if prefix_fixed(g, len(points)):
+            add_level(g.min_moved())
+    for g in gens:
+        for i in range(len(points)):
+            if not prefix_fixed(g, i):
+                break
+            level_gens[i].append(g)
+    for i in range(len(points)):
+        close(i)
+    i = len(points) - 1
+    while i >= 0:
+        modified_at = None
+        for gamma in orbits[i]:
+            for s in level_gens[i]:
+                u_delta = transversals[i][s[gamma]]
+                sg = transversals[i][gamma] * s
+                if sg == u_delta:
+                    continue
+                residue, j = strip(sg * u_delta.inv(), i + 1)
+                if residue == identity:
+                    continue
+                if j == len(points):
+                    add_level(residue.min_moved())
+                for l in range(i + 1, j + 1):
+                    level_gens[l].append(residue)
+                    close(l)
+                modified_at = j
+                break
+            if modified_at is not None:
+                break
+        i = modified_at if modified_at is not None else i - 1
+    levels = list(zip(points, level_gens, orbits, transversals))
+
+    def contains(g):
+        residue, depth = strip(g, 0)
+        return depth == len(points) and residue == identity
+
+    return levels, contains
+
+
+def chain_levels(chain):
+    return [(lv.point, lv.gens, lv.orbit, lv.transversal) for lv in chain.levels]
+
+
+def assert_chain_matches_reference(G, initial_base):
+    chain = build_chain(G.degree, G.generators, initial_base)
+    levels, contains = chain_by_strip(G.degree, G.generators, initial_base)
+    assert chain_levels(chain) == levels
+    # the same transversal elements, in the same insertion order
+    assert [list(lv.transversal.items()) for lv in chain.levels] == [
+        list(t.items()) for *_, t in levels
+    ]
+    return chain, contains
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 100))
+def test_chain_matches_strip_reference_on_random_groups(seed):
+    for s in range(seed, seed + 100):
+        G = random_group(s)
+        rng = random.Random(s)
+        forced = tuple(rng.sample(range(G.degree), rng.randint(1, min(3, G.degree))))
+        for initial_base in ((), forced):
+            chain, contains = assert_chain_matches_reference(G, initial_base)
+            members = [G.generators[0] * G.generators[-1], G.generators[-1].inv()]
+            for g in members + [random_perm(rng, G.degree) for _ in range(5)]:
+                assert chain.contains(g) == contains(g), s
+            assert all(chain.contains(g) for g in members)
+
+
+BUNDLED_GROUPS = [
+    pytest.param(lambda i=i: table1_group(i), id=f"table1_group({i})") for i in (1, 2, 3, 4)
+] + [
+    pytest.param(lambda i=i: table2_group(i), id=f"table2_group({i})") for i in (1, 2)
+] + [
+    pytest.param(lambda i=i: table1_matrix_group(i).perm_group(), id=f"G{i}-nonzero")
+    for i in (1, 2, 3, 4)
+] + [
+    pytest.param(lambda i=i: table2_matrix_group(i).perm_group(), id=f"M{i}-nonzero")
+    for i in (1, 2)
+]
+
+
+@pytest.mark.parametrize("make", BUNDLED_GROUPS)
+def test_chain_matches_strip_reference_on_bundled_groups(make):
+    G = make()
+    for initial_base in ((), (0,), (G.degree - 1, 1)):
+        assert_chain_matches_reference(G, initial_base)
 
 
 def test_elements_sorted_lex_first_is_identity():
@@ -468,6 +667,51 @@ def test_subgroup_census_quaternion_structure():
     assert all(c.class_size == 1 for c in classes)
 
 
+def census_by_every_extension(G):
+    """Every subgroup, from the cyclic ones by extending every subgroup
+    found by every element outside it, then classified by conjugating
+    each with every element: the reference for subgroups_up_to_conjugacy.
+    Returns (order, class size, element set of the least conjugate) per
+    class, sorted like the census."""
+    table = ElementTable(G)
+    n = len(table)
+    found = {}
+    for i in range(n):
+        found.setdefault(table.cyclic(i), (i,) if i != table.identity_id else ())
+    worklist = list(found)
+    for sub in worklist:
+        for x in range(n):
+            if x not in sub:
+                bigger = table.closure(found[sub] + (x,))
+                if bigger not in found:
+                    found[bigger] = found[sub] + (x,)
+                    worklist.append(bigger)
+    classes = {}
+    for sub in found:
+        key = min(tuple(sorted(table.conjugate_set(sub, g))) for g in range(n))
+        classes.setdefault(key, set()).add(sub)
+    return [
+        (len(key), len(classes[key]), frozenset(table.elements[i] for i in key))
+        for key in sorted(classes, key=lambda k: (len(k), k))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_subgroup_census_matches_every_extension_reference(seed):
+    checked = 0
+    for s in range(seed, seed + 50):
+        G = random_group(s)
+        if G.order() > 60:
+            continue
+        census = [
+            (c.order, c.class_size, frozenset(c.representative.elements()))
+            for c in subgroups_up_to_conjugacy(G)
+        ]
+        assert census == census_by_every_extension(G), s
+        checked += 1
+    assert checked >= 20
+
+
 # ---------------------------------------------------------------------------
 # element table
 
@@ -502,7 +746,8 @@ def test_element_table():
 
 
 def test_group_text_round_trip():
-    for G in (symmetric_group(4), quaternion8(), PermGroup(3, ())):
+    randoms = [random_group(s) for s in range(100)]
+    for G in (symmetric_group(4), quaternion8(), PermGroup(3, ()), *randoms):
         text = group_to_text(G)
         H = group_from_text(text)
         assert H.degree == G.degree
