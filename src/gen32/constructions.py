@@ -8,7 +8,14 @@ Everything the CLI and the claim suites can build lives here:
   diag(a, +-1/a) and antidiag(a; +-1/a) and is irreducible for odd q.
 * ``affine_group(G0)`` — the semidirect product V . G0 of the
   translation group of V = GF(q)^dim with a matrix group G0, as a
-  permutation group on the q^dim vector codes.
+  permutation group on the q^dim vector codes, and
+  ``affine_of_linear_perms`` for a linear part given by permutations.
+  Both check that every linear generator fixes the zero vector and is
+  additive.  Then the translations are a regular normal subgroup and the
+  linear part is the whole stabilizer of 0, so the stabilizer chain is
+  assembled, when first needed, from a level for the orbit of 0 on top
+  of a Schreier-Sims chain of the linear generators alone, instead of a
+  Schreier-Sims run over V . G0.
 * ``table1_group(i)`` / ``table2_group(i)`` — affine groups over
   stabilizer matrix groups loaded from the bundled ``data/*.mat`` files
   (four exceptional 3/2-transitive groups and the two larger monomial
@@ -42,7 +49,7 @@ from .matgroup import (
     matrix_group_from_text,
     perm_from_matrix,
 )
-from .permgroup import Perm, PermGroup
+from .permgroup import Perm, PermGroup, StabChain, build_chain, chain_from_stabilizer
 
 DATA_ENV = "GEN32_DATA_DIR"
 
@@ -102,33 +109,90 @@ def extend_fixing_zero(g: Perm) -> Perm:
     return Perm._raw((0,) + tuple(x + 1 for x in g.images))
 
 
+def _check_additive(p: int, g: Perm) -> None:
+    """Raise unless a permutation of the vector codes fixes the zero
+    vector and is additive, g[a + b] = g[a] + g[b].
+
+    One code sum is checked per point: g[c] = g[t*p^k] + g[r] for every
+    code c = t*p^k + r with leading digit t and 0 < r < p^k, and
+    g[t*p^k] = g[(t-1)*p^k] + g[p^k] for t >= 2.  By induction on the
+    digits, g[c] is then the digit-weighted sum of the images of the
+    codes p^k, so g is additive.
+    """
+    images = g.images
+    if images[0] != 0:
+        raise PreconditionError("linear generator moves the zero vector")
+    total = len(images)
+    w = 1
+    while w < total:
+        for head in range(w, p * w, w):
+            if head > w and images[head] != add_codes(p, images[head - w], images[w]):
+                raise PreconditionError("linear generator is not additive")
+            head_image = images[head]
+            for r in range(1, w):
+                if images[head + r] != add_codes(p, head_image, images[r]):
+                    raise PreconditionError("linear generator is not additive")
+        w *= p
+
+
+class _AffineGroup(PermGroup):
+    """The affine group G = <V_0, H> on the q^dim vector codes, for the
+    dim basis translations V_0 and a group H of additive permutations
+    fixing the zero vector, with generators in that order.
+
+    The q^dim translations form a regular group T, and each generator of
+    H is additive, so it normalizes T.  Hence every element of G is
+    t_v * h with t_v a translation in G and h in H; it fixes the zero
+    vector only when v = 0, so the stabilizer G_0 is exactly H.  The
+    stabilizer chain is therefore assembled, on first use, from a level
+    for the orbit of 0 under G's generators (all of V when G is
+    transitive, and then |G| = q^dim * |H|) on top of a chain of H alone
+    (``chain_from_stabilizer``), with no Schreier-Sims run over G.
+    """
+
+    __slots__ = ("_linear",)
+
+    def __init__(self, field: FieldSpec, dim: int, linear: tuple[Perm, ...]):
+        super().__init__(field.q**dim, tuple(translation_perms(field, dim)) + linear)
+        for g in linear:
+            _check_additive(field.p, g)
+        self._linear = linear
+
+    def chain(self) -> StabChain:
+        if self._chain is None:
+            stabilizer = build_chain(self.degree, self._linear)
+            self._chain = chain_from_stabilizer(self.degree, self.generators, 0, stabilizer)
+        return self._chain
+
+
 def affine_of_linear_perms(field: FieldSpec, dim: int, nonzero_perms: tuple[Perm, ...]) -> PermGroup:
     """The affine group V . L for a linear group L given by its
     permutations of nonzero vectors.
 
     Generators are the dim basis translations followed by the linear
-    generators extended to fix the zero vector.
+    generators extended to fix the zero vector.  Each linear generator
+    must be additive (else ``PreconditionError``), and the stabilizer
+    chain is assembled from the translations and a chain of L alone
+    (``_AffineGroup``).
     """
     total = field.q**dim
     for g in nonzero_perms:
         if g.degree != total - 1:
             raise PreconditionError("linear permutation degree mismatch")
-    gens = tuple(translation_perms(field, dim)) + tuple(
-        extend_fixing_zero(g) for g in nonzero_perms
-    )
-    return PermGroup(total, gens)
+    return _AffineGroup(field, dim, tuple(extend_fixing_zero(g) for g in nonzero_perms))
 
 
 def affine_group(G0: MatrixGroup) -> PermGroup:
     """The semidirect product V . G0 on all q^dim vector codes.
 
     Generators are the dim standard-basis translations followed by the
-    permutations of the matrix generators of G0.
+    permutations of the matrix generators of G0.  The stabilizer chain
+    is assembled from the translations and a chain of G0's permutations
+    alone (``_AffineGroup``).
     """
-    gens = tuple(translation_perms(G0.field, G0.dim)) + tuple(
-        perm_from_matrix(M, "all") for M in G0.generators
+    return _AffineGroup(
+        G0.field, G0.dim, tuple(perm_from_matrix(M, "all") for M in G0.generators)
     )
-    return PermGroup(G0.field.q**G0.dim, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,27 @@ def _compose(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(images)
 
 
+def _close(level: _Level, identity: Perm) -> set[tuple[int, int]]:
+    """Rebuild a level's orbit and transversal by breadth-first closure
+    under its generators, u_delta = u_gamma * s for delta = s[gamma], and
+    return the (gamma, generator index) edges of the closure's tree."""
+    level.orbit = [level.point]
+    level.transversal = {level.point: identity}
+    tree = set()
+    k = 0
+    while k < len(level.orbit):
+        gamma = level.orbit[k]
+        u = level.transversal[gamma]
+        for e, s in enumerate(level.gens):
+            delta = s.images[gamma]
+            if delta not in level.transversal:
+                level.transversal[delta] = u * s
+                level.orbit.append(delta)
+                tree.add((gamma, e))
+        k += 1
+    return tree
+
+
 def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[int] = ()) -> StabChain:
     """Deterministic incremental Schreier-Sims.
 
@@ -313,27 +334,7 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
         return StabChain(degree, [])
 
     # per level, the (gamma, generator index) edges of the orbit's tree
-    tree_edges: dict[int, set[tuple[int, int]]] = {}
-
-    def close(i: int) -> None:
-        level = levels[i]
-        level.orbit = [level.point]
-        level.transversal = {level.point: identity}
-        tree = tree_edges[i] = set()
-        k = 0
-        while k < len(level.orbit):
-            gamma = level.orbit[k]
-            u = level.transversal[gamma]
-            for e, s in enumerate(level.gens):
-                delta = s.images[gamma]
-                if delta not in level.transversal:
-                    level.transversal[delta] = u * s
-                    level.orbit.append(delta)
-                    tree.add((gamma, e))
-            k += 1
-
-    for i in range(len(levels)):
-        close(i)
+    tree_edges = {i: _close(level, identity) for i, level in enumerate(levels)}
 
     chain = StabChain(degree, levels)
     i = len(levels) - 1
@@ -364,7 +365,7 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
                     add_level_for(residue)
                 for l in range(i + 1, j + 1):
                     levels[l].gens.append(residue)
-                    close(l)
+                    tree_edges[l] = _close(levels[l], identity)
                 modified_at = j
                 break
             if modified_at is not None:
@@ -374,6 +375,26 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
         else:
             i -= 1
     return chain
+
+
+def chain_from_stabilizer(
+    degree: int, generators: Sequence[Perm], point: int, stabilizer: StabChain
+) -> StabChain:
+    """The chain of G = <generators> with first base point ``point``,
+    assembled from a verified chain of the point stabilizer G_point: one
+    level for the orbit of ``point`` under the generators, on top of the
+    stabilizer chain's levels.
+
+    No Schreier generator is sifted, so the caller must know that the
+    stabilizer chain's group is exactly G_point (its base must not contain
+    ``point``).  Then the orbit level, built by the same closure as in
+    ``build_chain``, and the stabilizer's verified levels form a verified
+    chain of G, and |G| = |orbit| * |G_point|.
+    """
+    level = _Level(point)
+    level.gens = [g for g in generators if not g.is_identity()]
+    _close(level, Perm.identity(degree))
+    return StabChain(degree, [level, *stabilizer.levels])
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +448,7 @@ class PermGroup:
         return self.chain().order()
 
     def is_trivial(self) -> bool:
-        return self.order() == 1
+        return all(g.is_identity() for g in self.generators)
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)

@@ -244,11 +244,11 @@ def verify_corollary3(i: int) -> list[ClaimVerdict]:
         # a quotient element sends coset 0 (= G_0) to the coset it
         # represents, so its lift is the representative of that coset
         lifts = tuple(ca.reps[g.images[0]] for g in Tbar.generators)
-        T0 = PermGroup(G0.degree, tuple(G0.generators) + lifts)
-        if T0.order() != G0.order() * sc.order:
+        aff = affine_of_linear_perms(G0m.field, G0m.dim, tuple(G0.generators) + lifts)
+        # |V . T_0| = q^dim * |T_0|, and |T_0| = |G_0| * |T_0 : G_0|
+        if aff.order() != aff.degree * G0.order() * sc.order:
             raise RuntimeError("internal error: lifted subgroup has the wrong order")
         index = sc.order
-        aff = affine_of_linear_perms(G0m.field, G0m.dim, T0.generators)
         out.append(
             _claim(
                 f"{cid}.T{j:02d}",

@@ -1,4 +1,5 @@
 import os
+import random
 import shutil
 
 import pytest
@@ -23,9 +24,9 @@ from gen32.constructions import (
     z_group_kernel_action,
 )
 from gen32.errors import PreconditionError
-from gen32.field import field_make, prime_power
+from gen32.field import field_make, prime_power, primitive_element
 from gen32.matgroup import is_irreducible, perm_from_matrix
-from gen32.permgroup import Perm, PermGroup
+from gen32.permgroup import Perm, PermGroup, coset_action, subgroups_up_to_conjugacy
 from gen32.transitivity import analyze, is_frobenius, rank
 
 
@@ -129,6 +130,136 @@ def test_affine_of_linear_perms_matches_affine_group():
     B = affine_group(G0)
     assert A.order() == B.order()
     assert set(A.generators) == set(B.generators)
+
+
+# ---------------------------------------------------------------------------
+# assembled affine chains against Schreier-Sims on the same generators
+
+
+def _corollary3_groups(case):
+    """The affine groups the corollary3 suite checks, built the same way:
+    V . T_0 for one T_0 per class of subgroups between G_0 and M_0."""
+    G0m = table1_matrix_group(case)
+    G0 = G0m.perm_group("nonzero")
+    ca = coset_action(table2_matrix_group(case).perm_group("nonzero"), G0)
+    for sc in subgroups_up_to_conjugacy(ca.group):
+        lifts = tuple(ca.reps[g.images[0]] for g in sc.representative.generators)
+        yield affine_of_linear_perms(G0m.field, G0m.dim, tuple(G0.generators) + lifts)
+
+
+# element lists are compared up to this order: it takes in Table 1's
+# largest group (18,496 elements), while the 10^5 cap would add a minute
+# of enumeration and ~300 MB lists for s0 at q = 25
+ELEMENTS_COMPARED_UP_TO = 2 * 10**4
+
+
+def _assert_chain_matches_schreier_sims(G, seed):
+    reference = PermGroup(G.degree, G.generators)
+    chain = G.chain()
+    # translations move 0; the linear generators fix it
+    linear = [g for g in G.generators if g.images[0] == 0 and not g.is_identity()]
+    assert chain.base[0] == 0
+    # the levels below the first are the chain of the linear part alone
+    assert chain.levels[1].gens == linear if linear else len(chain.levels) == 1
+    assert G.order() == reference.order()
+
+    rng = random.Random(seed)
+    gens = G.generators
+    for _ in range(200):
+        images = list(range(G.degree))
+        rng.shuffle(images)
+        x = Perm(images)
+        assert G.contains(x) == reference.contains(x)
+    for _ in range(50):
+        word = Perm.identity(G.degree)
+        for _ in range(rng.randint(1, 30)):
+            word = word * rng.choice(gens)
+        assert G.contains(word) and reference.contains(word)
+        a, b = rng.sample(range(G.degree), 2)
+        near = word * Perm.from_cycles(G.degree, [(a, b)])
+        assert G.contains(near) == reference.contains(near)
+
+    stab, ref_stab = G.point_stabilizer(0), reference.point_stabilizer(0)
+    assert stab.orbits() == ref_stab.orbits()
+    assert stab.order() == ref_stab.order() == G.order() // len(G.orbit(0))
+    if G.order() <= ELEMENTS_COMPARED_UP_TO:
+        assert G.elements() == reference.elements()
+
+
+AFFINE_GROUPS = {
+    **{f"table1-G{i}": (lambda i=i: table1_group(i)) for i in (1, 2, 3, 4)},
+    **{f"table2-M{i}": (lambda i=i: table2_group(i)) for i in (1, 2)},
+    **{f"s0-q{q}": (lambda q=q: affine_group(s0_group(q))) for q in (3, 5, 7, 9, 25)},
+    # intransitive: over GF(9) the basis translations alone span only the
+    # prime-subfield vectors, so the orbit of 0 has 9 of the 81 points
+    "gf9-translations-only": lambda: affine_of_linear_perms(gf(9), 2, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_GROUPS))
+def test_affine_chain_matches_schreier_sims(name):
+    _assert_chain_matches_schreier_sims(AFFINE_GROUPS[name](), seed=len(name))
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_affine_chain_matches_schreier_sims_on_corollary3_groups(case):
+    groups = list(_corollary3_groups(case))
+    assert len(groups) == {1: 4, 2: 19}[case]
+    for j, G in enumerate(groups):
+        _assert_chain_matches_schreier_sims(G, seed=100 * case + j)
+
+
+def test_affine_constructions_build_no_chain_until_asked(monkeypatch):
+    import gen32.constructions as cons
+
+    calls = []
+    real = cons.build_chain
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cons, "build_chain", counting)
+    G = table1_group(4)
+    assert calls == []
+    assert G.order() == 289 * 64
+    # one Schreier-Sims run, on the linear generators alone
+    assert [args[1] for args in calls] == [G.generators[2:]]
+
+
+def test_affine_rejects_a_linear_part_moving_zero():
+    from gen32.constructions import _AffineGroup
+
+    moves_zero = Perm.from_cycles(25, [(0, 1)])
+    with pytest.raises(PreconditionError, match="zero vector"):
+        _AffineGroup(gf(5), 2, (moves_zero,))
+
+
+@pytest.mark.parametrize(
+    "q,dim,cycle",
+    # each cycle swaps the nonzero vectors of codes c + 1
+    [
+        (5, 1, (1, 2)),  # 2, 3: image(2) must be image(1) + image(1)
+        (5, 2, (9, 14)),  # 10, 15: image(10) must be image(5) + image(5)
+        (5, 2, (5, 6)),  # 6, 7: image(6) must be image(5) + image(1)
+        (4, 2, (13, 14)),  # 14, 15 over GF(4): image(15) must be image(8) xor image(7)
+    ],
+)
+def test_affine_rejects_a_linear_part_that_is_not_additive(q, dim, cycle):
+    # a transposition of two nonzero vectors fixes 0 but is not additive
+    g = Perm.from_cycles(q**dim - 1, [cycle])
+    with pytest.raises(PreconditionError, match="not additive"):
+        affine_of_linear_perms(gf(q), dim, (g,))
+
+
+def test_affine_accepts_additive_maps_that_are_not_linear():
+    # the Frobenius map x -> x^2 of GF(4) is additive but not GF(4)-linear;
+    # with x -> wx it generates the semilinear group of order 4 * 6
+    f = gf(4)
+    frob = Perm([(f.element(c) * f.element(c)).code - 1 for c in range(1, 4)])
+    w = Perm([(f.element(c) * primitive_element(f)).code - 1 for c in range(1, 4)])
+    G = affine_of_linear_perms(f, 1, (frob, w))
+    assert G.order() == PermGroup(G.degree, G.generators).order() == 24
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,10 @@ def test_point_stabilizer_reuses_the_chain_based_at_the_point(monkeypatch):
     from gen32 import permgroup
     from gen32.constructions import sl2, table1_group
 
-    G = table1_group(4)
+    # a plain group on the affine generators: table1_group's own chain is
+    # assembled from its translations and linear part, not by build_chain
+    affine = table1_group(4)
+    G = PermGroup(affine.degree, affine.generators)
     based_at_1 = sl2(5).perm_group("all")
     calls = []
     real = permgroup.build_chain
