@@ -15,7 +15,8 @@ is tracked as an explicit set while it has at most ``PREFIX_SET_LIMIT``
 elements; past that the skip is not applied.
 
 Two necessary-condition filters reject candidates before any closure is
-computed: the tuple must have the same orbit partition as G, and its
+computed: the tuple must be transitive on every orbit of G (its orbits
+refine G's, as it is drawn from G, so this says they are G's), and its
 image in the abelianization G/[G,G] must generate the abelianization
 (checked by ranks over each prime).  Both are conditions every
 generating tuple satisfies, so no witness is ever filtered away.  A
@@ -138,13 +139,13 @@ class _AbelianFilter:
         self.phi = ca.coset_of
         # Row a lists the labels a*j.  Row 0 is the identity, and as A is
         # abelian, row a*g is row a moved by g's action on the cosets.
-        rows = {0: list(range(self.size))}
+        rows = {0: tuple(range(self.size))}
         queue = [0]
         for a in queue:
             for q in ca.group.generators:
                 b = q.images[a]
                 if b not in rows:
-                    rows[b] = [q.images[x] for x in rows[a]]
+                    rows[b] = q.images_of(rows[a])
                     queue.append(b)
         self._mul = [rows[a] for a in range(self.size)]
         self._good: dict[frozenset[int], frozenset[int]] = {}
@@ -211,24 +212,6 @@ class _AbelianFilter:
         return acc
 
 
-def _orbit_count(degree: int, perms: Sequence[Perm]) -> int:
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in perms:
-        img = g.images
-        for x in range(degree):
-            rx, ry = find(x), find(img[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    return sum(1 for x in range(degree) if parent[x] == x)
-
-
 # ---------------------------------------------------------------------------
 # the tuple search
 
@@ -252,7 +235,12 @@ class _Search:
         self.truncated = False
         self._elements: list[Perm] | None = None
         self._ab: _AbelianFilter | None = None
-        self._orbits = len(G.orbits())
+        self._orbits = [o for o in G.orbits() if len(o) > 1]
+
+    def _has_orbits_of_G(self, H: PermGroup) -> bool:
+        """Whether a subgroup H of G has G's orbits: H's orbits refine
+        G's, so it must only be transitive on G's non-singleton orbits."""
+        return all(len(H.orbit(o[0])) == len(o) for o in self._orbits)
 
     # -- lazy heavy state --------------------------------------------------
 
@@ -273,12 +261,15 @@ class _Search:
         limit."""
         self.truncated = False
         if k == 1:
+            # an element of order |G| makes G cyclic, hence abelian, and
+            # an abelian group has one conjugacy class per element
+            abelian = len(self.reps) == self.n - 1
             for r in self.reps:
                 if limit is not None and self.tests >= limit:
                     self.truncated = True
                     return None
                 self.tests += 1
-                if r.order() == self.n:
+                if abelian and r.order() == self.n:
                     return (r,)
             return None
         self._prepare()
@@ -329,9 +320,8 @@ class _Search:
                     if good is not None and ab.phi[c] not in good:
                         continue
                     cand = prefix + (c,)
-                    if _orbit_count(self.degree, cand) != self._orbits:
-                        continue
-                    if PermGroup(self.degree, cand).order() == target:
+                    H = PermGroup(self.degree, cand)
+                    if self._has_orbits_of_G(H) and H.order() == target:
                         return cand
                 return None
             for c in elems:

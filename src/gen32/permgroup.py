@@ -4,6 +4,12 @@ Conventions, fixed once and used everywhere:
 
 * A permutation of degree n acts on the points 0 .. n-1 and is stored as
   its image tuple, so ``g[x]`` is the image of x under g.
+* Every gather of images -- a product, a composition, a key, a frontier
+  of an orbit -- goes through ``_take(images, points)``, which reads
+  ``images[x]`` for every x in ``points`` in one C call,
+  ``itemgetter(*points)(images)``.  Only 0 or 1 points are special:
+  ``itemgetter`` needs at least one argument and returns a bare value,
+  not a 1-tuple, for exactly one.
 * Products compose left to right: ``(p * q)[x] == q[p[x]]`` (apply p,
   then q).  This matches the right action of matrices on row vectors, so
   converting matrices to permutations is a homomorphism for the ordinary
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -52,6 +58,13 @@ from .field import is_prime, prime_factors
 ELEMENT_LIMIT = 10**5
 SUBGROUP_CENSUS_LIMIT = 2000
 QUOTIENT_INDEX_LIMIT = 10**4
+
+
+def _take(images: Sequence[int], points: Sequence[int]) -> tuple[int, ...]:
+    """The tuple of ``images[x]`` for x in ``points``."""
+    if len(points) > 1:
+        return itemgetter(*points)(images)
+    return tuple(images[x] for x in points)
 
 
 class Perm:
@@ -94,11 +107,11 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: Perm) -> Perm:
-        return Perm._raw(tuple(map(other.images.__getitem__, self.images)))
+        return Perm._raw(_take(other.images, self.images))
 
     def images_of(self, points: Sequence[int]) -> tuple[int, ...]:
         """The images of the given points, in order."""
-        return tuple(map(self.images.__getitem__, points))
+        return _take(self.images, points)
 
     def inv(self) -> Perm:
         # cached one way only: a back-reference from the inverse would
@@ -247,11 +260,11 @@ class StabChain:
 
 def _compose(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
     """The image tuple of a product of image tuples applied left to
-    right, built in one pass over the points."""
-    images: Iterable[int] = factors[0]
+    right, one gather per factor."""
+    images = factors[0]
     for f in factors[1:]:
-        images = map(f.__getitem__, images)
-    return tuple(images)
+        images = _take(f, images)
+    return images
 
 
 def _close(level: _Level, identity: Perm) -> set[tuple[int, int]]:
@@ -497,29 +510,25 @@ class PermGroup:
         if not 0 <= alpha < self.degree:
             raise PreconditionError(f"point {alpha} out of range")
         seen = {alpha}
-        queue = [alpha]
-        i = 0
-        while i < len(queue):
-            x = queue[i]
+        frontier = (alpha,)
+        while frontier:
+            new = set()
             for g in self.generators:
-                y = g.images[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-            i += 1
+                new.update(_take(g.images, frontier))
+            new -= seen
+            seen |= new
+            frontier = tuple(new)
         return sorted(seen)
 
     def orbits(self) -> list[list[int]]:
         """All orbits, each sorted, ordered by their smallest point."""
         if self._orbits is None:
-            seen = [False] * self.degree
+            seen: set[int] = set()
             out = []
             for alpha in range(self.degree):
-                if not seen[alpha]:
-                    o = self.orbit(alpha)
-                    for x in o:
-                        seen[x] = True
-                    out.append(o)
+                if alpha not in seen:
+                    out.append(self.orbit(alpha))
+                    seen.update(out[-1])
             self._orbits = out
         return self._orbits
 

@@ -15,6 +15,7 @@ from gen32.constructions import (
 )
 from gen32.errors import IndeterminateError, PreconditionError
 from gen32.gens import (
+    _Search,
     all_abelian_subgroups_cyclic,
     d_affine,
     d_exact,
@@ -261,6 +262,55 @@ def test_d_matches_naive_oracle_on_random_groups(seed):
         res = d_exact(G)
         assert res.value == d_naive(G), s
         assert generates(G, res.witness.elements)
+
+
+def orbit_count_by_union_find(degree, perms):
+    """The number of orbits of <perms>, by union-find over every point: the
+    orbit filter of the tuple search before it asked for transitivity."""
+    parent = list(range(degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in perms:
+        img = g.images
+        for x in range(degree):
+            rx, ry = find(x), find(img[x])
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return sum(1 for x in range(degree) if parent[x] == x)
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 25))
+def test_orbit_filter_matches_union_find_reference(seed):
+    verdicts = set()
+    for s in range(seed, seed + 25):
+        G = random_small_group(s)
+        search = _Search(G)
+        elems = G.elements()
+        rng = random.Random(s)
+        for _ in range(20):
+            cand = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
+            expected = orbit_count_by_union_find(G.degree, cand) == len(G.orbits())
+            assert search._has_orbits_of_G(PermGroup(G.degree, cand)) == expected, s
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_size_one_level_computes_no_element_order_in_a_nonabelian_group(monkeypatch):
+    G = symmetric_group(4)
+    search = _Search(G)
+    monkeypatch.setattr(Perm, "order", lambda self: pytest.fail("element order computed"))
+    assert search.run_level(1, None) is None
+    assert search.tests == len(search.reps) == 4
+    search.tests = 0
+    assert search.run_level(1, 2) is None
+    assert search.truncated and search.tests == 2
+    monkeypatch.undo()
+    assert d_exact(cyclic_regular(6)).value == 1
 
 
 @pytest.mark.parametrize(

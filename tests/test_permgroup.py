@@ -16,6 +16,7 @@ from gen32.constructions import (
 from gen32.errors import PreconditionError
 from gen32.permgroup import (
     ElementTable,
+    _compose,
     Perm,
     PermGroup,
     build_chain,
@@ -168,6 +169,53 @@ def test_keys_compose_and_determine_elements(seed):
         for _ in range(10):
             x, g = rng.choice(elems), rng.choice(elems)
             assert (x * g).images_of(base) == g.images_of(x.images_of(base))
+
+
+# The image gather reads many points in one call, which needs two or more
+# points; products, keys and compositions with fewer take another path.
+
+
+def test_products_at_degree_1_and_2():
+    e1 = Perm.identity(1)
+    assert (e1 * e1).images == (0,)
+    assert e1.inv() * e1 == e1 ** 5 == e1
+    s, e2 = Perm([1, 0]), Perm.identity(2)
+    assert (s * s).images == (0, 1)
+    assert (s * e2).images == (e2 * s).images == (1, 0)
+    assert s**3 == s.inv() == s
+    for p in (e1 * e1, s * s, s * e2):
+        assert type(p.images) is tuple
+
+
+@pytest.mark.parametrize("points", [(), [], (1,), [2], (2, 0), [0, 0]])
+def test_images_of_few_points_is_a_tuple(points):
+    g = Perm([2, 0, 1])
+    got = g.images_of(points)
+    assert type(got) is tuple
+    assert got == tuple(g[x] for x in points)
+
+
+def test_compose_of_few_factors():
+    assert _compose([(2, 0, 1)]) == (2, 0, 1)
+    assert _compose([(0,)]) == _compose([(0,), (0,)]) == (0,)
+    assert _compose([(1, 0), (1, 0)]) == (0, 1)
+    assert _compose([(1, 2, 0), (1, 2, 0), (0, 2, 1)]) == (1, 0, 2)
+
+
+def test_contains_in_degree_1_groups():
+    for G in (PermGroup(1, ()), PermGroup(1, (Perm.identity(1),))):
+        assert G.order() == 1
+        assert G.contains(Perm.identity(1))
+        assert not G.contains(Perm.identity(2))
+
+
+def test_key_of_a_generator_free_group_is_empty():
+    G = PermGroup(5, ())
+    base = G.chain().base
+    assert base == ()
+    assert G.identity().images_of(base) == ()
+    assert G.elements() == [G.identity()]
+    assert G.conjugacy_classes() == [[G.identity()]]
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +473,58 @@ def test_orbits_of_the_trivial_group_on_many_points():
     orbits = PermGroup(100_000, ()).orbits()
     assert len(orbits) == 100_000
     assert orbits[:2] == [[0], [1]] and orbits[-1] == [99_999]
+
+
+def orbit_by_queue(G, alpha):
+    """The orbit of a point by a breadth-first queue, one point at a time:
+    the algorithm ``PermGroup.orbit`` used before it grew by frontiers."""
+    seen = {alpha}
+    queue = [alpha]
+    i = 0
+    while i < len(queue):
+        x = queue[i]
+        for g in G.generators:
+            y = g.images[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+        i += 1
+    return sorted(seen)
+
+
+def assert_orbits_match_queue_reference(G):
+    expected = []
+    for alpha in range(G.degree):
+        o = orbit_by_queue(G, alpha)
+        assert G.orbit(alpha) == o
+        if o[0] == alpha:
+            expected.append(o)
+    assert G.orbits() == expected
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_orbits_match_queue_reference_on_random_groups(seed):
+    for s in range(seed, seed + 50):
+        assert_orbits_match_queue_reference(random_group(s))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 7])
+def test_orbits_match_queue_reference_without_moved_points(degree):
+    for gens in ((), (Perm.identity(degree),), (Perm.identity(degree),) * 2):
+        G = PermGroup(degree, gens)
+        assert_orbits_match_queue_reference(G)
+        assert G.orbits() == [[x] for x in range(degree)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda i=i: table1_group(i), id=f"table1_group({i})") for i in (1, 2, 3, 4)]
+    + [pytest.param(lambda i=i: table2_group(i), id=f"table2_group({i})") for i in (1, 2)],
+)
+def test_orbits_match_queue_reference_on_bundled_affine_groups(make):
+    G = make()
+    assert_orbits_match_queue_reference(G)
+    assert_orbits_match_queue_reference(G.point_stabilizer(0))
 
 
 def exponent_divides(G, e):
