@@ -167,6 +167,8 @@ def _d_payload(compute: Callable[[], DResult]) -> tuple[dict, int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     if args.infile is not None:
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 
@@ -212,11 +212,6 @@ class FieldSpec:
             code, r = divmod(code, self.p)
             digits.append(r)
         return FieldElement(self, tuple(digits))
-
-    def elements(self) -> Iterator[FieldElement]:
-        """All field elements in ascending code order."""
-        for code in range(self.q):
-            yield self.element(code)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -23,6 +23,15 @@ generating tuple satisfies, so no witness is ever filtered away.  A
 candidate that passes both is accepted when its Schreier-Sims order is
 |G|, and the returned witness is checked once more by ``generates``.
 
+Every l-rank is computed one way: an abelian X/Y has l-rank r exactly when
+|X : Y X^l| = l^r, and Y X^l is generated by Y and the l-th powers of
+X's generators.  The abelianization bound reads that index off chain
+orders, the abelian filter off orbit lengths in the regular action of
+G/[G,G] on coset labels, and the cyclic-Sylow test is the bound's value
+on a Sylow subgroup.  The same subgroups pick the filter's last-slot
+labels: some x has <S, x> = A only when A/S is cyclic, and then exactly
+the x outside every S A^l do.
+
 The projected cost of size k is classes(G) * |G|^(k-1) candidate
 tuples.  When that exceeds the budget, ``d_exact`` switches to
 bound-meet mode: a budget-capped search for an upper bound plus the
@@ -91,10 +100,26 @@ def _verified(G: PermGroup, perms: tuple[Perm, ...]) -> GenTuple:
     return GenTuple(elements=perms, verified=True)
 
 
+def _ell_rank(index: int, ell: int) -> int:
+    """The ell-rank r of X/Y, given index = |X : Y X^ell|, which is ell^r."""
+    r = 0
+    while index % ell == 0:
+        index //= ell
+        r += 1
+    if index != 1:
+        raise RuntimeError("internal error: index is not a power of ell")
+    return r
+
+
 def d_lower_bound_abelian(G: PermGroup) -> int:
     """max over primes l dividing |G/[G,G]| of the l-rank of the
     abelianization; a certified lower bound for d(G) (0 for perfect or
-    trivial G)."""
+    trivial G).
+
+    The l-rank is read off chain orders: [G,G] G^l is generated by [G,G]
+    and the l-th powers of G's generators, so no element is enumerated
+    and G may exceed the enumeration cap.
+    """
     n = G.order()
     if n == 1:
         return 0
@@ -103,17 +128,9 @@ def d_lower_bound_abelian(G: PermGroup) -> int:
     if dn == n:
         return 0
     best = 0
-    elems = G.elements()
     for ell in prime_factors(n // dn):
-        cnt = sum(1 for x in elems if (x**ell) in D)
-        cnt //= dn
-        r = 0
-        while cnt % ell == 0:
-            cnt //= ell
-            r += 1
-        if cnt != 1:
-            raise RuntimeError("internal error: torsion count is not a prime power")
-        best = max(best, r)
+        M = PermGroup(G.degree, D.generators + tuple(g**ell for g in G.generators))
+        best = max(best, _ell_rank(n // M.order(), ell))
     return best
 
 
@@ -129,87 +146,53 @@ class _AbelianFilter:
     slots is dead, and the last slot may be restricted to elements whose
     image x satisfies <S, x> = A.  Coset indices of the derived
     subgroup D serve as labels for A's elements; index 0 is the identity.
+    A acts regularly on the labels, so the subgroup spanned by some
+    labels is the orbit of label 0 under their elements of A.
     """
 
-    __slots__ = ("size", "phi", "_mul", "_good", "_need")
+    __slots__ = ("size", "phi", "_elt", "_powers", "_subs")
 
     def __init__(self, G: PermGroup, D: PermGroup):
         ca = coset_action(G, D)
+        A = ca.group
         self.size = len(ca.reps)
         self.phi = ca.coset_of
-        # Row a lists the labels a*j.  Row 0 is the identity, and as A is
-        # abelian, row a*g is row a moved by g's action on the cosets.
-        rows = {0: tuple(range(self.size))}
-        queue = [0]
-        for a in queue:
-            for q in ca.group.generators:
-                b = q.images[a]
-                if b not in rows:
-                    rows[b] = q.images_of(rows[a])
-                    queue.append(b)
-        self._mul = [rows[a] for a in range(self.size)]
-        self._good: dict[frozenset[int], frozenset[int]] = {}
-        self._need: dict[frozenset[int], int] = {}
+        # the element of A labelled x is the one taking label 0 to x
+        self._elt = {a[0]: a for a in A.elements()}
+        # A^l is generated by the l-th powers of A's generators
+        self._powers = {
+            ell: tuple((q**ell)[0] for q in A.generators) for ell in prime_factors(self.size)
+        }
+        self._subs: dict[frozenset[int], dict[int, frozenset[int]]] = {}
 
     def span(self, labels: Sequence[int]) -> frozenset[int]:
         """The subgroup of A generated by the given labels."""
-        seen = {0}
-        queue = [0]
-        for x in labels:
-            if x not in seen:
-                seen.add(x)
-                queue.append(x)
-        k = 0
-        while k < len(queue):
-            a = queue[k]
-            row = self._mul[a]
-            for x in labels:
-                b = row[x]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-            k += 1
-        return frozenset(seen)
+        return frozenset(PermGroup(self.size, [self._elt[x] for x in labels]).orbit(0))
 
-    def extend_span(self, span: frozenset[int], label: int) -> frozenset[int]:
-        if label in span:
-            return span
-        return self.span(tuple(span) + (label,))
+    def _span_times_powers(self, span: frozenset[int]) -> dict[int, frozenset[int]]:
+        """span A^l for each prime l dividing |A : span|."""
+        subs = self._subs.get(span)
+        if subs is None:
+            subs = {
+                ell: self.span((*span, *self._powers[ell]))
+                for ell in prime_factors(self.size // len(span))
+            }
+            self._subs[span] = subs
+        return subs
 
     def gens_needed(self, span: frozenset[int]) -> int:
-        """d(A / span): how many more images are needed to cover A."""
-        need = self._need.get(span)
-        if need is not None:
-            return need
-        quotient = self.size // len(span)
-        need = 0
-        for ell in prime_factors(quotient) if quotient > 1 else []:
-            cnt = sum(1 for x in range(self.size) if self._pow(x, ell) in span)
-            cnt //= len(span)
-            r = 0
-            while cnt % ell == 0:
-                cnt //= ell
-                r += 1
-            need = max(need, r)
-        self._need[span] = need
-        return need
+        """d(A / span): how many more images are needed to cover A, the
+        largest l-rank of A / span."""
+        subs = self._span_times_powers(span)
+        return max((_ell_rank(self.size // len(sub), ell) for ell, sub in subs.items()), default=0)
 
     def good_last(self, span: frozenset[int]) -> frozenset[int]:
         """Labels x with <span, x> = A (the only labels a final slot can
-        usefully carry)."""
-        good = self._good.get(span)
-        if good is None:
-            good = frozenset(
-                x for x in range(self.size) if len(self.extend_span(span, x)) == self.size
-            )
-            self._good[span] = good
-        return good
-
-    def _pow(self, x: int, e: int) -> int:
-        acc = 0
-        for _ in range(e):
-            acc = self._mul[acc][x]
-        return acc
+        usefully carry).  Only a cyclic A / span has them, and then they
+        are the labels outside each of its maximal subgroups span A^l."""
+        if self.gens_needed(span) > 1:
+            return frozenset()
+        return frozenset(range(self.size)).difference(*self._span_times_powers(span).values())
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +445,21 @@ def all_abelian_subgroups_cyclic(G: PermGroup) -> bool:
 
     Equivalent to: every Sylow subgroup for odd primes is cyclic, and
     the Sylow 2-subgroup is cyclic or generalized quaternion (the only
-    noncyclic 2-groups with a unique involution).
+    noncyclic 2-groups with a unique involution).  A Sylow subgroup P is
+    cyclic when d_lower_bound_abelian(P) <= 1: for a p-group that bound
+    is d(P), by Burnside's basis theorem.
     """
     n = G.order()
     if n == 1:
         return True
     for ell in prime_factors(n):
         P = sylow_subgroup(G, ell)
-        pn = P.order()
-        elems = P.elements()
-        if max(e.order() for e in elems) == pn:
+        if d_lower_bound_abelian(P) <= 1:
             continue  # cyclic
         if ell != 2:
             return False
-        if pn < 8:
+        if P.order() < 8:
             return False  # noncyclic of order 4 is the Klein group
-        if sum(1 for e in elems if e.order() == 2) != 1:
+        if sum(1 for e in P.elements() if e.order() == 2) != 1:
             return False
     return True

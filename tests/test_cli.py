@@ -172,6 +172,20 @@ def test_analyze_budget_exhaustion_reported_in_json(capsys):
     assert payload["order"] == 32
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_analyze_nonpositive_budget_is_usage_error(tmp_path, capsys, monkeypatch, budget):
+    monkeypatch.setattr("gen32.cli._build", lambda *a: pytest.fail("group was built"))
+    monkeypatch.setattr("gen32.cli.analyze", lambda *a: pytest.fail("group was analyzed"))
+    target = tmp_path / "x.json"
+    code, out, err = run_cli(
+        capsys, "analyze", "s0", "--q", "5", "--budget", budget, "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --budget") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_analyze_deterministic_modulo_timing(capsys):
     outputs = []
     for _ in range(2):

@@ -14,7 +14,9 @@ from gen32.constructions import (
     z_group,
 )
 from gen32.errors import IndeterminateError, PreconditionError
+from gen32.field import prime_factors
 from gen32.gens import (
+    _AbelianFilter,
     _Search,
     all_abelian_subgroups_cyclic,
     d_affine,
@@ -30,6 +32,7 @@ from gen32.permgroup import (
     coset_action,
     derived_subgroup,
     normal_closure,
+    sylow_subgroup,
     symmetric_group,
 )
 
@@ -452,6 +455,161 @@ def test_d_lower_bound_abelian():
 def test_lower_bound_never_exceeds_d():
     for G in (quaternion8(), symmetric_group(4), elementary_8(), z_group(7, 3, 2)):
         assert d_lower_bound_abelian(G) <= d_exact(G).value
+
+
+# Reference copies of the l-rank counts made before every l-rank was read
+# off an index |X : Y X^l|: both count the elements whose l-th power
+# lands in the subgroup, one over all of G, one over a multiplication
+# table of G/[G,G].
+
+
+def lower_bound_by_enumeration(G):
+    """max over primes l of the l-rank of G/[G,G], from the number of x
+    in G with x**l in [G,G]."""
+    n = G.order()
+    if n == 1:
+        return 0
+    D = derived_subgroup(G)
+    dn = D.order()
+    if dn == n:
+        return 0
+    best = 0
+    elems = G.elements()
+    for ell in prime_factors(n // dn):
+        cnt = sum(1 for x in elems if (x**ell) in D)
+        cnt //= dn
+        r = 0
+        while cnt % ell == 0:
+            cnt //= ell
+            r += 1
+        assert cnt == 1
+        best = max(best, r)
+    return best
+
+
+class AbelianFilterByTable:
+    """The abelian filter on its own multiplication table of G/[G,G]:
+    spans by breadth-first closure, l-torsion counted by a power loop."""
+
+    def __init__(self, G, D):
+        ca = coset_action(G, D)
+        self.size = len(ca.reps)
+        self.phi = ca.coset_of
+        rows = {0: tuple(range(self.size))}
+        queue = [0]
+        for a in queue:
+            for q in ca.group.generators:
+                b = q.images[a]
+                if b not in rows:
+                    rows[b] = q.images_of(rows[a])
+                    queue.append(b)
+        self._mul = [rows[a] for a in range(self.size)]
+
+    def span(self, labels):
+        seen = {0}
+        queue = [0]
+        for x in labels:
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+        k = 0
+        while k < len(queue):
+            row = self._mul[queue[k]]
+            for x in labels:
+                b = row[x]
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+            k += 1
+        return frozenset(seen)
+
+    def gens_needed(self, span):
+        quotient = self.size // len(span)
+        need = 0
+        for ell in prime_factors(quotient) if quotient > 1 else []:
+            cnt = sum(1 for x in range(self.size) if self._pow(x, ell) in span)
+            cnt //= len(span)
+            r = 0
+            while cnt % ell == 0:
+                cnt //= ell
+                r += 1
+            need = max(need, r)
+        return need
+
+    def good_last(self, span):
+        return frozenset(
+            x for x in range(self.size) if len(self.span(tuple(span) + (x,))) == self.size
+        )
+
+    def _pow(self, x, e):
+        acc = 0
+        for _ in range(e):
+            acc = self._mul[acc][x]
+        return acc
+
+
+RANK_CORPUS = [
+    pytest.param(lambda: [random_small_group(s) for s in range(200)], id="random"),
+    pytest.param(lambda: [s0_group(q).perm_group("nonzero") for q in (5, 9, 13)], id="s0"),
+    pytest.param(lambda: [agl1(13)], id="agl1(13)"),
+    pytest.param(lambda: [table1_matrix_group(1).perm_group("nonzero")], id="G1 stabilizer"),
+]
+
+
+@pytest.mark.parametrize("make", RANK_CORPUS)
+def test_lower_bound_matches_enumeration_reference(make):
+    for G in make():
+        assert d_lower_bound_abelian(G) == lower_bound_by_enumeration(G), G.generators
+
+
+@pytest.mark.parametrize("make", RANK_CORPUS)
+def test_abelian_filter_matches_table_reference(make):
+    spans = 0
+    for seed, G in enumerate(make()):
+        D = derived_subgroup(G)
+        if D.order() == G.order():
+            continue
+        ab, ref = _AbelianFilter(G, D), AbelianFilterByTable(G, D)
+        assert (ab.size, ab.phi) == (ref.size, ref.phi)
+        rng = random.Random(seed)
+        draws = [()] + [(x,) for x in range(ab.size)]
+        draws += [tuple(rng.sample(range(ab.size), min(k, ab.size))) for k in (2, 2, 3, 3)]
+        for labels in draws:
+            span = ab.span(labels)
+            assert span == ref.span(labels), labels
+            assert ab.gens_needed(span) == ref.gens_needed(span), labels
+            assert ab.good_last(span) == ref.good_last(span), labels
+            spans += 1
+    assert spans > 0
+
+
+def s5_s5_s4():
+    """S5 x S5 x S4 on 14 points: order 345,600, abelianization C2^3."""
+    gens = []
+    for lo, n in ((0, 5), (5, 5), (10, 4)):
+        gens.append(Perm.from_cycles(14, [tuple(range(lo, lo + n))]))
+        gens.append(Perm.from_cycles(14, [(lo, lo + 1)]))
+    return PermGroup(14, gens)
+
+
+def test_lower_bound_enumerates_nothing(monkeypatch):
+    big = s5_s5_s4()
+    assert big.order() == 345_600
+    monkeypatch.setattr(PermGroup, "elements", lambda self: pytest.fail("elements enumerated"))
+    monkeypatch.setattr(Perm, "order", lambda self: pytest.fail("element order computed"))
+    assert d_lower_bound_abelian(big) == 3
+    assert d_lower_bound_abelian(symmetric_group(9)) == 1
+
+
+def test_cyclic_sylow_test_enumerates_nothing(monkeypatch):
+    # every Sylow subgroup here is cyclic, so the quaternion clause never runs
+    for G in (z_group(7, 3, 2), cyclic_regular(12), agl1(13)):
+        sylows = {ell: sylow_subgroup(G, ell) for ell in prime_factors(G.order())}
+        with monkeypatch.context() as m:
+            m.setattr("gen32.gens.sylow_subgroup", lambda G, ell: sylows[ell])
+            m.setattr(PermGroup, "elements", lambda self: pytest.fail("elements enumerated"))
+            m.setattr(Perm, "order", lambda self: pytest.fail("element order computed"))
+            assert all_abelian_subgroups_cyclic(G)
 
 
 # ---------------------------------------------------------------------------
