@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Callable, Sequence
 
@@ -238,6 +237,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     q_list = _parse_q_list(args.q) if args.q else None
     t0 = time.perf_counter()
     if args.jobs > 1:
+        # imported here: the process pool's modules cost every other
+        # gen32 process about 20 ms to load
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(run_suite, part, q_list) for part in _ALL_PARTS]
             verdicts = sorted(

@@ -6,13 +6,16 @@ scanned with the first slot running over conjugacy-class representatives
 (ascending lexicographically) and the remaining slots over all elements
 in enumeration order.  Conjugating a generating tuple preserves
 generation, so fixing the first entry up to conjugacy loses nothing.
-There is one scan, directly on the permutations, for every group size.
-A slot value inside the subgroup generated by the preceding slots is
-skipped: removing it from a witness would leave a smaller one, and the
-search only runs at size k after sizes < k have been exhausted, so the
-skip never changes which witness is found first.  The prefix subgroup
-is tracked as an explicit set while it has at most ``PREFIX_SET_LIMIT``
-elements; past that the skip is not applied.
+There is one scan for every group size, and it runs on the keys of G's
+keyed enumeration (``PermGroup.keyed``): a slot value is an element
+number, and it is built as a permutation only when it enters a prefix
+or is a final candidate that the skip test and the abelian filter let
+through.  A slot value inside the subgroup generated by the preceding
+slots is skipped: removing it from a witness would leave a smaller one,
+and the search only runs at size k after sizes < k have been exhausted,
+so the skip never changes which witness is found first.  The prefix
+subgroup is tracked as an explicit set of keys while it has at most
+``PREFIX_SET_LIMIT`` elements; past that the skip is not applied.
 
 Two necessary-condition filters reject candidates before any closure is
 computed: the tuple must be transitive on every orbit of G (its orbits
@@ -146,6 +149,7 @@ class _AbelianFilter:
     slots is dead, and the last slot may be restricted to elements whose
     image x satisfies <S, x> = A.  Coset indices of the derived
     subgroup D serve as labels for A's elements; index 0 is the identity.
+    ``phi`` maps an element's key in G's keyed enumeration to its label.
     A acts regularly on the labels, so the subgroup spanned by some
     labels is the orbit of label 0 under their elements of A.
     """
@@ -156,7 +160,7 @@ class _AbelianFilter:
         ca = coset_action(G, D)
         A = ca.group
         self.size = len(ca.reps)
-        self.phi = ca.coset_of
+        self.phi = ca.labels
         # the element of A labelled x is the one taking label 0 to x
         self._elt = {a[0]: a for a in A.elements()}
         # A^l is generated by the l-th powers of A's generators
@@ -213,10 +217,13 @@ class _Search:
         self.G = G
         self.n = G.order()
         self.degree = G.degree
-        self.reps = [r for r in G.conjugacy_class_reps() if not r.is_identity()]
+        self._keyed = G.keyed()
+        # the least member of every class but the identity's, which is first
+        self._rep_ids = [cls[0] for cls in self._keyed.classes()[1:]]
+        self.reps = [self._keyed.perm(i) for i in self._rep_ids]
         self.tests = 0
         self.truncated = False
-        self._elements: list[Perm] | None = None
+        self._prepared = False
         self._ab: _AbelianFilter | None = None
         self._orbits = [o for o in G.orbits() if len(o) > 1]
 
@@ -228,11 +235,11 @@ class _Search:
     # -- lazy heavy state --------------------------------------------------
 
     def _prepare(self) -> None:
-        """Enumerate G, and build the abelian filter when G/[G,G] is
-        nontrivial (a perfect group's filter rejects nothing) and small."""
-        if self._elements is not None:
+        """Build the abelian filter when G/[G,G] is nontrivial (a perfect
+        group's filter rejects nothing) and small."""
+        if self._prepared:
             return
-        self._elements = self.G.elements()
+        self._prepared = True
         D = derived_subgroup(self.G)
         if 1 < self.n // D.order() <= ABELIAN_FILTER_LIMIT:
             self._ab = _AbelianFilter(self.G, D)
@@ -259,65 +266,50 @@ class _Search:
         return self._scan(k, limit)
 
     def _scan(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
-        elems = self._elements
+        keyed = self._keyed
+        keys = keyed.keys
         ab = self._ab
         target = self.n
 
-        def closure_set(perms: tuple[Perm, ...]) -> set[Perm] | None:
-            """The generated subgroup as an explicit set, or None when it
-            exceeds the tracking limit."""
-            seen = {Perm.identity(self.degree)}
-            queue = list(seen)
-            for g in perms:
-                if g not in seen:
-                    seen.add(g)
-                    queue.append(g)
-            i = 0
-            while i < len(queue):
-                x = queue[i]
-                for g in perms:
-                    y = x * g
-                    if y not in seen:
-                        if len(seen) >= PREFIX_SET_LIMIT:
-                            return None
-                        seen.add(y)
-                        queue.append(y)
-                i += 1
-            return seen
+        def closure_set(prefix: tuple[int, ...]) -> set[tuple[int, ...]] | None:
+            """The keys of the generated subgroup, or None when it exceeds
+            the tracking limit."""
+            return keyed.closure([keyed.perm(i) for i in prefix], PREFIX_SET_LIMIT)
 
-        def rec(prefix: tuple[Perm, ...], sub: set[Perm] | None, remaining: int):
+        def rec(prefix: tuple[int, ...], sub: set[tuple[int, ...]] | None, remaining: int):
             span = None
             if ab is not None:
-                span = ab.span(sorted({ab.phi[g] for g in prefix}))
+                span = ab.span(sorted({ab.phi[keys[i]] for i in prefix}))
                 if ab.gens_needed(span) > remaining:
                     return None
             if remaining == 1:
                 good = ab.good_last(span) if ab is not None else None
-                for c in elems:
-                    if sub is not None and c in sub:
+                perms = tuple(keyed.perm(i) for i in prefix)
+                for i, key in enumerate(keys):
+                    if sub is not None and key in sub:
                         continue
                     if limit is not None and self.tests >= limit:
                         self.truncated = True
                         return None
                     self.tests += 1
-                    if good is not None and ab.phi[c] not in good:
+                    if good is not None and ab.phi[key] not in good:
                         continue
-                    cand = prefix + (c,)
+                    cand = perms + (keyed.perm(i),)
                     H = PermGroup(self.degree, cand)
                     if self._has_orbits_of_G(H) and H.order() == target:
                         return cand
                 return None
-            for c in elems:
-                if sub is not None and c in sub:
+            for i, key in enumerate(keys):
+                if sub is not None and key in sub:
                     continue
-                got = rec(prefix + (c,), closure_set(prefix + (c,)), remaining - 1)
+                got = rec(prefix + (i,), closure_set(prefix + (i,)), remaining - 1)
                 if got is not None:
                     return got
                 if self.truncated:
                     return None
             return None
 
-        for r in self.reps:
+        for r in self._rep_ids:
             got = rec((r,), closure_set((r,)), k - 1)
             if got is not None or self.truncated:
                 return got

@@ -31,13 +31,27 @@ closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
 
 An element of a group is keyed by its base images: its images of the
-base points of the group's chain, ``g.images_of(base)``.  Only the
-identity of the group fixes every base point, so the key determines the
-element.  Keys compose without a degree-n product:
-key(x * g) = g.images_of(key(x)).  Element enumeration, conjugacy
-classes, coset labels and the rows of an ``ElementTable`` look elements
-up by key, at |base| steps each, and build a product only for an element
-they have not seen.
+base points of a chain, ``g.images_of(base)``.  Only the identity of the
+group fixes every base point, so the key determines the element.  Keys
+compose without a degree-n product: key(x * g) = g.images_of(key(x)).
+Element enumeration, conjugacy classes, coset labels and the d search
+all run on one keyed enumeration of the group (``KeyedElements``).  It
+builds no degree-n product: a ``Perm`` is built, from the chain's
+transversals, only for an element a caller asks for.  Conjugacy needs
+each element's images of the points S = base + {g^-1[b] : g a
+generator, b a base point}, since key(g^-1 x g)[i] = g[x[g^-1[b_i]]].
+They follow from the enumeration's tree, as S is closed under right
+multiplication by a generator: (x * g)[p] = g[x[p]].
+
+The enumeration reads a chain whose base is lex-least: each base point
+b_(i+1) is the least point moved by the stabilizer of b_1 .. b_i.  Two
+distinct elements g and h then first differ at a base point (g^-1 h lies
+in some such stabilizer and moves its next base point, while every
+smaller point outside the base is fixed by that whole stabilizer), so
+sorting keys sorts the elements by image tuples.  The group's own chain
+is used when its base is lex-least, which each level shows by its strong
+generators' least moved point being its base point; otherwise the
+enumeration builds a chain with the lex-least base forced.
 
 The subgroup census (``subgroups_up_to_conjugacy``) works one conjugacy
 class at a time: a subgroup is generated by a maximal subgroup of it and
@@ -47,9 +61,11 @@ class by the prime-power-order cyclic subgroups reaches every class.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -410,6 +426,151 @@ def chain_from_stabilizer(
     return StabChain(degree, [level, *stabilizer.levels])
 
 
+def _lex_least_chain(group: PermGroup) -> StabChain:
+    """The group's chain when its base is lex-least, else a chain built
+    with the lex-least base forced.
+
+    A level's strong generators generate the stabilizer of the earlier
+    base points, so its base point is the least point that stabilizer
+    moves exactly when it is the least point any of them moves.  Each
+    rebuild forces one more lex-least base point.
+    """
+    chain = group.chain()
+    while True:
+        for i, level in enumerate(chain.levels):
+            least = min(g.min_moved() for g in level.gens)
+            if least != level.point:
+                break
+        else:
+            return chain
+        chain = build_chain(group.degree, group.generators, chain.base[:i] + (least,))
+
+
+class KeyedElements:
+    """Every element of a group, enumerated on base-image keys.
+
+    Elements are numbered in enumeration order: a breadth-first closure
+    from the identity under right multiplication by the generators, each
+    new layer sorted by key.  ``keys[i]`` is the i-th element's images of
+    ``base``, the base of a lex-least chain.  Each element i > 0 was first
+    reached as parent[i] * g for the generator g numbered via[i].
+    ``perm(i)`` builds the i-th element on first request and keeps it.
+    """
+
+    __slots__ = ("chain", "base", "keys", "_gens", "_parent", "_via", "_perms", "_by_key", "_classes")
+
+    def __init__(self, group: PermGroup):
+        self.chain = _lex_least_chain(group)
+        base = self.chain.base
+        gens = [g.images for g in group.generators if not g.is_identity()]
+        keys = [base]
+        seen = {base}
+        parent = array("l", [0])
+        via = array("l", [0])
+        layer = range(1)
+        while layer:
+            found = []
+            for i in layer:
+                key = keys[i]
+                for e, g in enumerate(gens):
+                    y = _take(g, key)
+                    if y not in seen:
+                        seen.add(y)
+                        found.append((y, i, e))
+            found.sort()
+            layer = range(len(keys), len(keys) + len(found))
+            for y, i, e in found:
+                keys.append(y)
+                parent.append(i)
+                via.append(e)
+        self.base = base
+        self.keys = keys
+        self._gens = gens
+        self._parent = parent
+        self._via = via
+        self._perms: list[Perm | None] = [None] * len(keys)
+        self._by_key: array | None = None
+        self._classes: list[list[int]] | None = None
+
+    def perm(self, i: int) -> Perm:
+        """The i-th element, x = u_k * ... * u_1 for the transversal
+        elements u_1 .. u_k that sifting its key divides off."""
+        p = self._perms[i]
+        if p is None:
+            divisors, _ = self.chain.sift(list(self.keys[i]))
+            p = Perm._raw(_compose(divisors[::-1] or [tuple(range(self.chain.degree))]))
+            self._perms[i] = p
+        return p
+
+    def perms(self) -> list[Perm]:
+        """Every element, in enumeration order, each built once."""
+        for i in range(len(self.keys)):
+            self.perm(i)
+        return self._perms
+
+    def by_key(self) -> Sequence[int]:
+        """Element numbers in key order, which is the order of their
+        image tuples."""
+        if self._by_key is None:
+            self._by_key = array("l", sorted(range(len(self.keys)), key=self.keys.__getitem__))
+        return self._by_key
+
+    def classes(self) -> list[list[int]]:
+        """Conjugacy classes as element numbers, each in key order,
+        ordered by their least member.
+
+        A conjugate g^-1 x g is found by its key, g[x[g^-1[b_i]]].  So
+        each element's images of S (see the module docstring) are read
+        off its parent's, (x * g)[p] = g[x[p]], and the images of the
+        points g^-1[b_i] are picked out of them.
+        """
+        if self._classes is None:
+            keys, gens, parent, via = self.keys, self._gens, self._parent, self._via
+            index = {key: i for i, key in enumerate(keys)}
+            points = list(self.base)
+            for g in gens:
+                points.extend(p for p in map(g.index, self.base) if p not in points)
+            images = [tuple(points)]
+            for j in range(1, len(keys)):
+                images.append(_take(gens[via[j]], images[parent[j]]))
+            # per generator g: the positions in S of the points g^-1[b_i], and g
+            conjugators = [(tuple(points.index(g.index(b)) for b in self.base), g) for g in gens]
+            assigned = [False] * len(keys)
+            classes = []
+            for i in self.by_key():
+                if assigned[i]:
+                    continue
+                members = {i}
+                queue = [i]
+                while queue:
+                    at = images[queue.pop()]
+                    for pre, g in conjugators:
+                        j = index[_take(g, _take(at, pre))]
+                        if j not in members:
+                            members.add(j)
+                            queue.append(j)
+                for j in members:
+                    assigned[j] = True
+                classes.append(sorted(members, key=keys.__getitem__))
+            self._classes = classes
+        return self._classes
+
+    def closure(self, perms: Sequence[Perm], limit: int | None = None) -> set[tuple[int, ...]] | None:
+        """The keys of the subgroup generated by some elements of the
+        group, or None when it has more than ``limit`` elements."""
+        seen = {self.base}
+        queue = [self.base]
+        for key in queue:
+            for g in perms:
+                y = _take(g.images, key)
+                if y not in seen:
+                    if limit is not None and len(seen) >= limit:
+                        return None
+                    seen.add(y)
+                    queue.append(y)
+        return seen
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -427,8 +588,7 @@ class PermGroup:
         "generators",
         "_chain",
         "_stabs",
-        "_elements",
-        "_classes",
+        "_keyed",
         "_orbits",
     )
 
@@ -446,8 +606,7 @@ class PermGroup:
                 )
         self._chain: StabChain | None = None
         self._stabs: dict[int, PermGroup] = {}
-        self._elements: list[Perm] | None = None
-        self._classes: list[list[Perm]] | None = None
+        self._keyed: KeyedElements | None = None
         self._orbits: list[list[int]] | None = None
 
     # -- structure ---------------------------------------------------------
@@ -472,38 +631,26 @@ class PermGroup:
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
 
+    def keyed(self) -> KeyedElements:
+        """The group's keyed enumeration; capped at 10^5 elements."""
+        if self._keyed is None:
+            if self.order() > ELEMENT_LIMIT:
+                raise PreconditionError(
+                    f"group order {self.order()} exceeds element enumeration cap {ELEMENT_LIMIT}"
+                )
+            self._keyed = KeyedElements(self)
+        return self._keyed
+
     def elements(self) -> list[Perm]:
         """All elements, by breadth-first closure from the identity.
 
         Layers are generated by right multiplication with the generators
         and each new layer is sorted lexicographically, so the resulting
-        order is reproducible.  Elements are keyed by their base images,
-        so a product is built only for an element not seen before.
+        order is reproducible.  The closure runs on keys (``keyed()``),
+        and each element is built once from the chain's transversals.
         Capped at 10^5 elements.
         """
-        if self._elements is None:
-            if self.order() > ELEMENT_LIMIT:
-                raise PreconditionError(
-                    f"group order {self.order()} exceeds element enumeration cap {ELEMENT_LIMIT}"
-                )
-            gens = [g for g in self.generators if not g.is_identity()]
-            base = self.chain().base
-            out = [self.identity()]
-            seen = {base}
-            layer = [(out[0], base)]
-            while layer:
-                found = []
-                for x, key in layer:
-                    for g in gens:
-                        key_y = g.images_of(key)
-                        if key_y not in seen:
-                            seen.add(key_y)
-                            found.append((x * g, key_y))
-                found.sort(key=lambda pair: pair[0].images)
-                out.extend(y for y, _ in found)
-                layer = found
-            self._elements = out
-        return self._elements
+        return self.keyed().perms()
 
     def orbit(self, alpha: int) -> list[int]:
         """The orbit of a point, as a sorted list."""
@@ -553,42 +700,15 @@ class PermGroup:
 
     def conjugacy_classes(self) -> list[list[Perm]]:
         """Conjugacy classes, each sorted, ordered by their least member.
-
-        Elements are keyed by their base images and addressed by their
-        position in the sorted element list.  A conjugate is found by its
-        key alone, key(g^-1 x g)[i] = g[x[g^-1[b_i]]], without a product.
-        """
-        if self._classes is None:
-            elems = sorted(self.elements(), key=attrgetter("images"))
-            base = self.chain().base
-            position = {e.images_of(base): i for i, e in enumerate(elems)}
-            # per generator g: the points g^-1[b_i], and g itself
-            conjugators = [
-                (g.inv().images_of(base), g) for g in self.generators if not g.is_identity()
-            ]
-            assigned = [False] * len(elems)
-            classes = []
-            for i in range(len(elems)):
-                if assigned[i]:
-                    continue
-                members = {i}
-                queue = [i]
-                while queue:
-                    x = elems[queue.pop()]
-                    for pre, g in conjugators:
-                        j = position[g.images_of(x.images_of(pre))]
-                        if j not in members:
-                            members.add(j)
-                            queue.append(j)
-                for j in members:
-                    assigned[j] = True
-                classes.append([elems[j] for j in sorted(members)])
-            self._classes = classes
-        return self._classes
+        The classes are found on keys (``KeyedElements.classes``)."""
+        keyed = self.keyed()
+        return [[keyed.perm(i) for i in cls] for cls in keyed.classes()]
 
     def conjugacy_class_reps(self) -> list[Perm]:
-        """Lexicographically least member of each class, sorted."""
-        return [cls[0] for cls in self.conjugacy_classes()]
+        """Lexicographically least member of each class, sorted; only the
+        representatives are built."""
+        keyed = self.keyed()
+        return [keyed.perm(cls[0]) for cls in keyed.classes()]
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -665,13 +785,22 @@ class CosetAction:
 
     ``group`` is the quotient as a permutation group on coset indices;
     ``reps`` holds the lexicographically least element of each coset, and
-    ``coset_of`` maps every group element to its coset index.  Coset 0 is
-    always the subgroup itself (the identity is the least element of all).
+    ``labels`` maps the key of every group element, its images of
+    ``G.keyed().base``, to its coset index.  ``coset_of`` maps the
+    elements themselves, n * e for n in the subgroup and e in ``reps``,
+    and is built on first use.  Coset 0 is always the subgroup itself
+    (the identity is the least element of all).
     """
 
     group: PermGroup
     reps: tuple[Perm, ...]
-    coset_of: dict[Perm, int]
+    labels: dict[tuple[int, ...], int]
+    subgroup: PermGroup
+
+    @cached_property
+    def coset_of(self) -> dict[Perm, int]:
+        elems = self.subgroup.elements()
+        return {n * e: idx for idx, e in enumerate(self.reps) for n in elems}
 
 
 def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
@@ -679,34 +808,34 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
 
     Cosets are indexed in order of their lexicographically least element;
     the quotient generators are the actions of G's generators by right
-    multiplication.  Elements are keyed by their base images in G, so the
-    coset N e is labelled, and acted on, without a product.  The index is
-    capped at 10^4.
+    multiplication.  The coset N e is labelled on keys: the keys of N's
+    elements are a key closure, key(n * e) = e.images_of(key(n)), and only
+    the representatives e are built.  The index is capped at 10^4.
     """
     if not normal_in(N, G):
         raise PreconditionError("can only form the quotient by a normal subgroup")
     index = G.order() // N.order()
     if index > QUOTIENT_INDEX_LIMIT:
         raise PreconditionError(f"quotient index {index} exceeds cap {QUOTIENT_INDEX_LIMIT}")
-    base = G.chain().base
-    elems = sorted(G.elements(), key=attrgetter("images"))
-    by_key = {e.images_of(base): e for e in elems}
-    n_keys = [n.images_of(base) for n in N.elements()]
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for e in elems:
-        if e in coset_of:
+    keyed = G.keyed()
+    keys = keyed.keys
+    n_keys = keyed.closure(N.generators)
+    labels: dict[tuple[int, ...], int] = {}
+    reps: list[int] = []
+    for i in keyed.by_key():
+        if keys[i] in labels:
             continue
-        idx = len(reps)
-        reps.append(e)
+        e = keyed.perm(i).images
         for key in n_keys:
-            coset_of[by_key[e.images_of(key)]] = idx  # n * e
-    rep_keys = [r.images_of(base) for r in reps]
-    images = []
-    for g in G.generators:
-        images.append(Perm(tuple(coset_of[by_key[g.images_of(key)]] for key in rep_keys)))
-    group = PermGroup(index, tuple(images))
-    return CosetAction(group=group, reps=tuple(reps), coset_of=coset_of)
+            labels[_take(e, key)] = len(reps)
+        reps.append(i)
+    images = [Perm(tuple(labels[g.images_of(keys[i])] for i in reps)) for g in G.generators]
+    return CosetAction(
+        group=PermGroup(index, tuple(images)),
+        reps=tuple(keyed.perm(i) for i in reps),
+        labels=labels,
+        subgroup=N,
+    )
 
 
 def sylow_subgroup(G: PermGroup, ell: int) -> PermGroup:
@@ -779,10 +908,11 @@ class ElementTable:
                 f"group order {group.order()} exceeds the table cap {SUBGROUP_CENSUS_LIMIT}"
             )
         self.group = group
-        self.elements = sorted(group.elements())
+        keyed = group.keyed()
+        self.elements = [keyed.perm(i) for i in keyed.by_key()]
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self._base = group.chain().base
-        self._by_key = {e.images_of(self._base): i for i, e in enumerate(self.elements)}
+        self._base = keyed.base
+        self._by_key = {keyed.keys[i]: r for r, i in enumerate(keyed.by_key())}
         self._rows: list[list[int] | None] = [None] * len(self.elements)
         self._inv: list[int | None] = [None] * len(self.elements)
         self._id = self.index[group.identity()]

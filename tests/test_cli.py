@@ -403,3 +403,16 @@ def test_console_entry_point_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"] is True
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only reproduce --jobs above 1 needs it; every other run would pay
+    # for loading it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gen32.cli; print(sorted(m for m in sys.modules"
+         " if m in ('concurrent.futures.process', 'multiprocessing')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -258,6 +258,111 @@ def test_coset_labels_match_products(make):
             assert ca.group.generators == action
 
 
+def has_lex_least_base(G):
+    """Whether each base point of G's own chain is the least point moved
+    by the stabilizer of the earlier ones."""
+    return all(min(g.min_moved() for g in lv.gens) == lv.point for lv in G.chain().levels)
+
+
+def closure_by_products(perms, degree):
+    seen = {Perm.identity(degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [h for g in frontier for s in perms if (h := g * s) not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def first_witness_by_products(G):
+    """The first generating tuple of least size in the canonical order:
+    the first slot over the least members of classes_by_definition but the
+    identity's, the others over elements_by_products, skipping a value in
+    the span of the earlier slots."""
+    reps = [cls[0] for cls in classes_by_definition(G)[1:]]
+    elems = elements_by_products(G)
+
+    def rec(prefix, remaining):
+        sub = closure_by_products(prefix, G.degree)
+        if remaining == 0:
+            return prefix if len(sub) == G.order() else None
+        for c in elems:
+            if c not in sub and (got := rec(prefix + (c,), remaining - 1)):
+                return got
+        return None
+
+    for k in range(1, G.order()):
+        for r in reps:
+            if got := rec((r,), k - 1):
+                return got
+    return ()
+
+
+def random_groups_without_a_lex_least_base():
+    return [
+        G for G in map(random_small_group, range(300))
+        if G.order() <= 120 and not has_lex_least_base(G)
+    ]
+
+
+def stabilizers_by_witness():
+    """The G1 and G2 stabilizers generated by their d_exact witnesses,
+    whose own chains have the bases (4, 0) and (8, 0)."""
+    out = []
+    for i in (1, 2):
+        G = table1_matrix_group(i).perm_group("nonzero")
+        out.append(PermGroup(G.degree, d_exact(G).witness.elements))
+    return out
+
+
+# Groups whose own chain's base is not lex-least, so their enumeration
+# reads a second chain; the oracles are the ones above, unchanged.
+NON_LEX_LEAST_CORPUS = [
+    pytest.param(stabilizers_by_witness, id="stabilizers"),
+    pytest.param(random_groups_without_a_lex_least_base, id="random"),
+]
+
+
+@pytest.mark.parametrize("make", NON_LEX_LEAST_CORPUS)
+def test_keyed_enumeration_matches_oracles_without_a_lex_least_base(make):
+    groups = make()
+    assert len(groups) >= 2
+    for G in groups:
+        assert not has_lex_least_base(G)
+        base = G.chain().base
+        assert G.elements() == elements_by_products(G)
+        assert G.conjugacy_classes() == classes_by_definition(G)
+        for N in (PermGroup(G.degree, ()), derived_subgroup(G)):
+            ca = coset_action(G, N)
+            reps, coset_of = coset_labels_by_products(G, N)
+            assert ca.reps == tuple(reps)
+            assert list(ca.coset_of.items()) == list(coset_of.items())
+        # the enumeration's chain is lex-least; the group's own is kept
+        assert G.chain().base == base
+        assert G.keyed().base != base
+
+
+def test_witnesses_match_reference_without_a_lex_least_base():
+    H1, H2 = stabilizers_by_witness()
+    for G in [*random_groups_without_a_lex_least_base(), H1]:
+        assert d_exact(G).witness.elements == first_witness_by_products(G), G.generators
+    # the reference takes seconds on H2 (d = 4); its answer, once computed,
+    # is H2's generators, the first four elements after the identity
+    assert d_exact(H2).witness.elements == tuple(elements_by_products(H2)[1:5])
+
+
+def test_search_builds_few_elements():
+    # agl1(127) has 16,002 elements: the search builds its 126 nontrivial
+    # class representatives, the identity (a coset representative of the
+    # abelian filter) and the one final candidate that passes the filters,
+    # which generates
+    built = []
+    for _ in range(2):
+        G = agl1(127)
+        assert d_exact(G).value == 2
+        built.append(sum(p is not None for p in G.keyed()._perms))
+    assert built == [128, 128]
+
+
 @pytest.mark.parametrize("seed", range(0, 100, 20))
 def test_d_matches_naive_oracle_on_random_groups(seed):
     for s in range(seed, seed + 20):
@@ -570,7 +675,8 @@ def test_abelian_filter_matches_table_reference(make):
         if D.order() == G.order():
             continue
         ab, ref = _AbelianFilter(G, D), AbelianFilterByTable(G, D)
-        assert (ab.size, ab.phi) == (ref.size, ref.phi)
+        base = G.keyed().base
+        assert (ab.size, ab.phi) == (ref.size, {g.images_of(base): x for g, x in ref.phi.items()})
         rng = random.Random(seed)
         draws = [()] + [(x,) for x in range(ab.size)]
         draws += [tuple(rng.sample(range(ab.size), min(k, ab.size))) for k in (2, 2, 3, 3)]
