@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
-from .field import FieldSpec, field_make, prime_power, primitive_element
+from .field import FieldSpec, field_make, prime_power
 from .matgroup import (
     MatrixF,
     MatrixGroup,
@@ -68,11 +68,11 @@ def s0_group(q: int) -> MatrixGroup:
     if p == 2:
         raise PreconditionError("s0_group needs odd q")
     f = field_make(p, m)
-    one, zero = f.one(), f.zero()
-    w0 = primitive_element(f)
-    u = MatrixF(f, [[zero, one], [one, zero]])
-    v = MatrixF(f, [[one, zero], [zero, -one]])
-    w = MatrixF(f, [[w0, zero], [zero, w0.inv()]])
+    ops = f.ops
+    w0 = ops.primitive
+    u = MatrixF.from_codes(f, [[0, 1], [1, 0]])
+    v = MatrixF.from_codes(f, [[1, 0], [0, ops.neg(1)]])
+    w = MatrixF.from_codes(f, [[w0, 0], [0, ops.inv(w0)]])
     return MatrixGroup(f, 2, [u, v, w])
 
 
@@ -255,9 +255,8 @@ def sl2(p: int) -> MatrixGroup:
     """SL(2, p) for prime p > 3, from the standard generator pair
     [[1,1],[0,1]] and [[0,1],[-1,0]]."""
     f = _sl2_field(p)
-    one, zero = f.one(), f.zero()
-    u = MatrixF(f, [[one, one], [zero, one]])
-    v = MatrixF(f, [[zero, one], [-one, zero]])
+    u = MatrixF.from_codes(f, [[1, 1], [0, 1]])
+    v = MatrixF.from_codes(f, [[0, 1], [p - 1, 0]])
     return MatrixGroup(f, 2, [u, v])
 
 
@@ -266,10 +265,8 @@ def sl2_twisted_group(p: int) -> MatrixGroup:
     its twisted transpose [[1,0],[-w,1]], w the canonical primitive
     element mod p.  For p > 3 this is again all of SL(2, p)."""
     f = _sl2_field(p)
-    one, zero = f.one(), f.zero()
-    w0 = primitive_element(f)
-    u = MatrixF(f, [[one, one], [zero, one]])
-    ut = MatrixF(f, [[one, zero], [-w0, one]])
+    u = MatrixF.from_codes(f, [[1, 1], [0, 1]])
+    ut = MatrixF.from_codes(f, [[1, 0], [f.ops.neg(f.ops.primitive), 1]])
     return MatrixGroup(f, 2, [u, ut])
 
 
@@ -350,8 +347,8 @@ def agl1(q: int) -> PermGroup:
     f = field_make(p, m)
     if q > POINT_LIMIT:
         raise PreconditionError(f"degree {q} exceeds cap {POINT_LIMIT}")
-    one = f.one()
-    t = Perm([(f.element(c) + one).code for c in range(q)])
-    w0 = primitive_element(f)
-    s = Perm([(f.element(c) * w0).code for c in range(q)])
+    ops = f.ops
+    t = Perm([ops.add(c, 1) for c in range(q)])
+    w0 = ops.primitive
+    s = Perm([ops.mul(c, w0) for c in range(q)])
     return PermGroup(q, (t, s))

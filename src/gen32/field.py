@@ -13,6 +13,13 @@ this package (vectors, matrices, data files).  The canonical primitive
 element is the one of smallest code >= 2 generating the multiplicative
 group (GF(2) degenerately uses its identity, code 1).
 
+The engine computes on codes: ``FieldSpec.ops`` adds, subtracts,
+negates, multiplies and inverts codes, by plain arithmetic mod p in a
+prime field and through log/antilog and Zech-logarithm tables of size q,
+built on first use, for m > 1.  ``FieldElement`` is the wrapper for
+parsing and the public API, and its polynomial arithmetic is the
+reference the code arithmetic is tested against.
+
 Fields here stay small (p^m <= 2^31) and all algorithms are the direct
 deterministic ones; there is no randomized factoring or primality
 testing anywhere.
@@ -21,7 +28,7 @@ testing anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -136,10 +143,10 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
-def _ppowmod_x(e: int, mod: Sequence[int], p: int) -> list[int]:
-    """x^e reduced modulo the monic polynomial mod, by binary powering."""
+def _ppowmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
+    """a^e reduced modulo the monic polynomial mod, by binary powering."""
     result = [1]
-    base = _pmod([0, 1], mod, p)
+    base = _pmod(a, mod, p)
     while e:
         if e & 1:
             result = _pmod(_pmul(result, base, p), mod, p)
@@ -168,15 +175,153 @@ def _poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
             if acc == 0:
                 return False
         return True
-    xq = _ppowmod_x(p**m, coeffs, p)
+    xq = _ppowmod([0, 1], p**m, coeffs, p)
     if _ptrim(list(xq)) != [0, 1]:
         return False
     for ell in prime_factors(m):
-        g = _pgcd(_psub(_ppowmod_x(p ** (m // ell), coeffs, p), [0, 1], p), coeffs, p)
+        g = _pgcd(_psub(_ppowmod([0, 1], p ** (m // ell), coeffs, p), [0, 1], p), coeffs, p)
         if len(g) - 1 != 0:
             return False
     return True
 
+
+# ---------------------------------------------------------------------------
+# arithmetic on element codes
+
+
+def _digits(code: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of a code, low first: its coefficients."""
+    digits = []
+    for _ in range(m):
+        code, r = divmod(code, p)
+        digits.append(r)
+    return digits
+
+
+def _code(coeffs: Sequence[int], p: int) -> int:
+    """The code of a coefficient sequence, low degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def _full_order_exponents(n: int) -> list[int]:
+    """The exponents n / l for the primes l dividing n: an element of a
+    group of order n has order n exactly when none of these powers is 1."""
+    return [n // ell for ell in prime_factors(n)]
+
+
+class PrimeCodes:
+    """Arithmetic on the codes 0 .. p - 1 of GF(p): plain arithmetic mod
+    p.  ``primitive`` is the code of the canonical primitive element."""
+
+    __slots__ = ("p", "primitive")
+
+    def __init__(self, p: int):
+        self.p = p
+        exponents = _full_order_exponents(p - 1)
+        self.primitive = 1 if p == 2 else next(
+            c for c in range(2, p) if all(pow(c, e, p) != 1 for e in exponents)
+        )
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise PreconditionError("zero has no multiplicative inverse")
+        return pow(a, -1, self.p)
+
+
+class LogTableCodes:
+    """Arithmetic on the codes of GF(p^m), m > 1, through logarithms to
+    the base of the canonical primitive element g (code ``primitive``).
+
+    ``_log[c]`` is the logarithm of a nonzero code c and ``_exp[k]`` the
+    code of g^k.  A sum uses Zech logarithms: g^i + g^j = g^(i + z) for
+    z = ``_zech[j - i]``, the logarithm of 1 + g^(j - i), which is None
+    when 1 + g^(j - i) = 0.  Both tables hold their q - 1 entries twice
+    over, so a sum of two logarithms needs no reduction and a negative
+    index wraps modulo q - 1.  -1 is g^half, with half = (q - 1) / 2 for
+    odd p and 0 in characteristic 2.
+    """
+
+    __slots__ = ("primitive", "_log", "_exp", "_zech", "_half")
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        q = p**m
+        n = q - 1
+        exponents = _full_order_exponents(n)
+        self.primitive = next(
+            c for c in range(2, q)
+            if all(_ppowmod(_digits(c, p, m), e, modulus, p) != [1] for e in exponents)
+        )
+        g = _digits(self.primitive, p, m)
+        log: list[int | None] = [None] * q
+        exp = [0] * n
+        x = [1]
+        for k in range(n):
+            code = _code(x, p)
+            exp[k] = code
+            log[code] = k
+            x = _pmod(_pmul(x, g, p), modulus, p)
+        zech: list[int | None] = [None] * n
+        for k, code in enumerate(exp):
+            # add 1 to the constant coefficient, the lowest base-p digit
+            one_plus = code - code % p + (code + 1) % p
+            zech[k] = log[one_plus]
+        self._log = log
+        self._exp = exp * 2
+        self._zech = zech * 2
+        self._half = n // 2 if p != 2 else 0
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        i = log[a]
+        z = self._zech[log[b] - i]
+        return 0 if z is None else self._exp[i + z]
+
+    def sub(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        log = self._log
+        j = log[b] + self._half  # -b = g^j
+        if not a:
+            return self._exp[j]
+        i = log[a]
+        z = self._zech[j - i]
+        return 0 if z is None else self._exp[i + z]
+
+    def neg(self, a: int) -> int:
+        return self._exp[self._log[a] + self._half] if a else 0
+
+    def mul(self, a: int, b: int) -> int:
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise PreconditionError("zero has no multiplicative inverse")
+        return self._exp[-self._log[a]]
+
+
+CodeOps = PrimeCodes | LogTableCodes
 
 # ---------------------------------------------------------------------------
 
@@ -203,15 +348,18 @@ class FieldSpec:
     def one(self) -> FieldElement:
         return FieldElement(self, (1,) + (0,) * (self.m - 1))
 
+    @cached_property
+    def ops(self) -> CodeOps:
+        """Arithmetic on this field's element codes, set up on first use."""
+        if self.m == 1:
+            return PrimeCodes(self.p)
+        return LogTableCodes(self.p, self.m, self.modulus)
+
     def element(self, code: int) -> FieldElement:
         """The element with the given integer code (base-p digits)."""
         if not 0 <= code < self.q:
             raise PreconditionError(f"element code {code} out of range for GF({self.q})")
-        digits = []
-        for _ in range(self.m):
-            code, r = divmod(code, self.p)
-            digits.append(r)
-        return FieldElement(self, tuple(digits))
+        return FieldElement(self, tuple(_digits(code, self.p, self.m)))
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -249,10 +397,7 @@ class FieldElement:
 
     @property
     def code(self) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * self.field.p + c
-        return acc
+        return _code(self.coeffs, self.field.p)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -315,20 +460,7 @@ class FieldElement:
 
 
 def primitive_element(field: FieldSpec) -> FieldElement:
-    """The canonical generator of the multiplicative group.
-
-    Scans element codes in ascending order starting from 2 (code 1 is the
-    identity, never a generator unless q = 2) and returns the first
-    element of multiplicative order q - 1.
-    """
-    q = field.q
-    if q == 2:
-        return field.one()
-    n = q - 1
-    checks = [n // ell for ell in prime_factors(n)]
-    one_code = field.one().code
-    for code in range(2, q):
-        a = field.element(code)
-        if all((a**e).code != one_code for e in checks):
-            return a
-    raise RuntimeError("no primitive element found")  # unreachable
+    """The canonical generator of the multiplicative group: the element
+    of least code >= 2 and multiplicative order q - 1 (for q = 2, the
+    identity, code 1)."""
+    return field.element(field.ops.primitive)

@@ -266,53 +266,62 @@ class _Search:
         return self._scan(k, limit)
 
     def _scan(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
+        for r in self._rep_ids:
+            got = self._extend((r,), self._closure_keys((r,)), k - 1, limit)
+            if got is not None or self.truncated:
+                return got
+        return None
+
+    def _closure_keys(self, prefix: tuple[int, ...]) -> set[tuple[int, ...]] | None:
+        """The keys of the subgroup the prefix generates, or None when it
+        exceeds the tracking limit."""
+        keyed = self._keyed
+        return keyed.closure([keyed.perm(i) for i in prefix], PREFIX_SET_LIMIT)
+
+    def _extend(
+        self,
+        prefix: tuple[int, ...],
+        sub: set[tuple[int, ...]] | None,
+        remaining: int,
+        limit: int | None,
+    ) -> tuple[Perm, ...] | None:
+        """The first witness that extends the prefix by ``remaining`` more
+        elements, skipping those already in the subgroup ``sub`` it
+        generates."""
         keyed = self._keyed
         keys = keyed.keys
         ab = self._ab
-        target = self.n
-
-        def closure_set(prefix: tuple[int, ...]) -> set[tuple[int, ...]] | None:
-            """The keys of the generated subgroup, or None when it exceeds
-            the tracking limit."""
-            return keyed.closure([keyed.perm(i) for i in prefix], PREFIX_SET_LIMIT)
-
-        def rec(prefix: tuple[int, ...], sub: set[tuple[int, ...]] | None, remaining: int):
-            span = None
-            if ab is not None:
-                span = ab.span(sorted({ab.phi[keys[i]] for i in prefix}))
-                if ab.gens_needed(span) > remaining:
-                    return None
-            if remaining == 1:
-                good = ab.good_last(span) if ab is not None else None
-                perms = tuple(keyed.perm(i) for i in prefix)
-                for i, key in enumerate(keys):
-                    if sub is not None and key in sub:
-                        continue
-                    if limit is not None and self.tests >= limit:
-                        self.truncated = True
-                        return None
-                    self.tests += 1
-                    if good is not None and ab.phi[key] not in good:
-                        continue
-                    cand = perms + (keyed.perm(i),)
-                    H = PermGroup(self.degree, cand)
-                    if self._has_orbits_of_G(H) and H.order() == target:
-                        return cand
+        span = None
+        if ab is not None:
+            span = ab.span(sorted({ab.phi[keys[i]] for i in prefix}))
+            if ab.gens_needed(span) > remaining:
                 return None
+        if remaining == 1:
+            good = ab.good_last(span) if ab is not None else None
+            perms = tuple(keyed.perm(i) for i in prefix)
             for i, key in enumerate(keys):
                 if sub is not None and key in sub:
                     continue
-                got = rec(prefix + (i,), closure_set(prefix + (i,)), remaining - 1)
-                if got is not None:
-                    return got
-                if self.truncated:
+                if limit is not None and self.tests >= limit:
+                    self.truncated = True
                     return None
+                self.tests += 1
+                if good is not None and ab.phi[key] not in good:
+                    continue
+                cand = perms + (keyed.perm(i),)
+                H = PermGroup(self.degree, cand)
+                if self._has_orbits_of_G(H) and H.order() == self.n:
+                    return cand
             return None
-
-        for r in self._rep_ids:
-            got = rec((r,), closure_set((r,)), k - 1)
-            if got is not None or self.truncated:
+        for i, key in enumerate(keys):
+            if sub is not None and key in sub:
+                continue
+            longer = prefix + (i,)
+            got = self._extend(longer, self._closure_keys(longer), remaining - 1, limit)
+            if got is not None:
                 return got
+            if self.truncated:
+                return None
         return None
 
 

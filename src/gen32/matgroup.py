@@ -10,6 +10,15 @@ onto a permutation group under the left-to-right product convention of
 group (order, membership) are settled on the faithful permutation image
 on nonzero vectors.
 
+A matrix holds the integer codes of its entries, and every computation
+here (products, determinants, the point images of ``perm_from_matrix``,
+the spins of ``is_irreducible``) runs on codes through the field's
+``FieldSpec.ops``.  ``FieldElement`` only wraps codes at the public
+edges: ``MatrixF(field, rows)`` and ``MatrixF.rows``, ``det``, and the
+vector helpers ``encode_vector``, ``decode_vector`` and
+``apply_vector``, which compute with ``FieldElement`` arithmetic and
+serve as the reference for the code paths.
+
 The text format for matrix-group files is::
 
     p m dim
@@ -23,99 +32,118 @@ with one generator matrix per blank-line-separated block.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import FieldElement, FieldSpec, field_make
+from .field import CodeOps, FieldElement, FieldSpec, field_make
 from .permgroup import Perm, PermGroup
 
 POINT_LIMIT = 10**6
 
 
 class MatrixF:
-    """An immutable dim x dim matrix over a FieldSpec."""
+    """An immutable dim x dim matrix over a FieldSpec, held as the codes
+    of its entries."""
 
-    __slots__ = ("field", "dim", "rows")
+    __slots__ = ("field", "dim", "_codes")
 
     def __init__(self, field: FieldSpec, rows: Sequence[Sequence[FieldElement]]):
+        rows = [tuple(r) for r in rows]
+        if any(x.field != field for r in rows for x in r):
+            raise PreconditionError("matrix entry from a different field")
+        self._set(field, [[x.code for x in r] for r in rows])
+
+    def _set(self, field: FieldSpec, code_rows: Sequence[Sequence[int]]) -> None:
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.dim = len(self.rows)
-        if self.dim < 1 or any(len(r) != self.dim for r in self.rows):
+        self._codes = tuple(tuple(r) for r in code_rows)
+        self.dim = len(self._codes)
+        if self.dim < 1 or any(len(r) != self.dim for r in self._codes):
             raise PreconditionError("matrix must be square and nonempty")
-        for r in self.rows:
-            for x in r:
-                if x.field != field:
-                    raise PreconditionError("matrix entry from a different field")
 
     @classmethod
     def from_codes(cls, field: FieldSpec, code_rows: Sequence[Sequence[int]]) -> MatrixF:
-        return cls(field, [[field.element(c) for c in row] for row in code_rows])
+        M = cls.__new__(cls)
+        M._set(field, code_rows)
+        bad = next((c for r in M._codes for c in r if not 0 <= c < field.q), None)
+        if bad is not None:
+            raise PreconditionError(f"entry code {bad} out of range for GF({field.q})")
+        return M
 
     @classmethod
     def identity(cls, field: FieldSpec, dim: int) -> MatrixF:
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return cls.from_codes(field, [[int(i == j) for j in range(dim)] for i in range(dim)])
 
     def codes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(x.code for x in r) for r in self.rows)
+        return self._codes
+
+    @property
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        element = self.field.element
+        return tuple(tuple(map(element, r)) for r in self._codes)
 
     def __mul__(self, other: MatrixF) -> MatrixF:
         if self.field != other.field or self.dim != other.dim:
             raise PreconditionError("matrix shape or field mismatch")
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc = self.field.zero()
-                for j in range(n):
-                    acc = acc + self.rows[i][j] * other.rows[j][k]
-                row.append(acc)
-            rows.append(row)
-        return MatrixF(self.field, rows)
+        ops = self.field.ops
+        return MatrixF.from_codes(
+            self.field, [_row_times(r, other._codes, ops) for r in self._codes]
+        )
 
-    def det(self) -> FieldElement:
-        """The determinant, by Gaussian elimination."""
+    def _det_code(self) -> int:
+        """The code of the determinant, by Gaussian elimination."""
+        ops = self.field.ops
+        sub, mul = ops.sub, ops.mul
         n = self.dim
-        f = self.field
-        work = [list(r) for r in self.rows]
-        det = f.one()
+        work = [list(r) for r in self._codes]
+        det = 1
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if not work[r][col].is_zero():
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
-                return f.zero()
+                return 0
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            inv = work[col][col].inv()
-            det = det * work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                det = ops.neg(det)
+            lead = work[col][col]
+            det = mul(det, lead)
+            scale = ops.inv(lead)
+            row = [mul(scale, x) for x in work[col]]
+            for r in range(col + 1, n):
+                factor = work[r][col]
+                if factor:
+                    work[r] = [sub(a, mul(factor, b)) for a, b in zip(work[r], row)]
         return det
 
+    def det(self) -> FieldElement:
+        """The determinant."""
+        return self.field.element(self._det_code())
+
     def is_invertible(self) -> bool:
-        return not self.det().is_zero()
+        return self._det_code() != 0
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MatrixF)
             and self.field == other.field
-            and self.codes() == other.codes()
+            and self._codes == other._codes
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.codes()))
+        return hash((self.field, self._codes))
 
     def __repr__(self) -> str:
-        return f"MatrixF({self.field!r}, {list(map(list, self.codes()))})"
+        return f"MatrixF({self.field!r}, {list(map(list, self._codes))})"
+
+
+def _row_times(v: Sequence[int], rows: Sequence[Sequence[int]], ops: CodeOps) -> list[int]:
+    """The codes of v * M for the codes v of a row vector and rows of M:
+    the combination of M's rows with v's coordinates as coefficients."""
+    add, mul = ops.add, ops.mul
+    out = [0] * len(rows)
+    for x, row in zip(v, rows):
+        if x:
+            out = [add(a, mul(x, b)) for a, b in zip(out, row)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +187,14 @@ def add_codes(p: int, a: int, b: int) -> int:
 
 
 def apply_vector(vec: Sequence[FieldElement], M: MatrixF) -> tuple[FieldElement, ...]:
-    """v * M for a row vector v."""
+    """v * M for a row vector v, in FieldElement arithmetic."""
     n = M.dim
+    rows = M.rows
     out = []
     for k in range(n):
         acc = M.field.zero()
         for j in range(n):
-            acc = acc + vec[j] * M.rows[j][k]
+            acc = acc + vec[j] * rows[j][k]
         out.append(acc)
     return tuple(out)
 
@@ -180,8 +209,8 @@ def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:
     Images are built in code order by linearity.  For r < q^j the code
     d*q^j + r is the vector d*e_j + r, so its image is
     image(d*q^j) + image(r): only the images d * (row j of M) of the
-    q*dim vectors d*e_j use field arithmetic, and every other point
-    costs one code addition.
+    q*dim vectors d*e_j multiply codes, and every other point costs one
+    code addition.
     """
     if not M.is_invertible():
         raise PreconditionError("only invertible matrices induce permutations")
@@ -191,13 +220,15 @@ def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
     if action not in ("all", "nonzero"):
         raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
+    p, q, mul = f.p, f.q, f.ops.mul
     images = [0]
-    for row in M.rows:
+    for row in M.codes():
         lower = images[:]
-        for d in range(1, f.q):
-            scalar = f.element(d)
-            head = encode_vector(f, [scalar * x for x in row])
-            images.extend(add_codes(f.p, head, r) for r in lower)
+        for d in range(1, q):
+            head = 0
+            for x in reversed(row):
+                head = head * q + mul(d, x)
+            images.extend(add_codes(p, head, r) for r in lower)
     if action == "all":
         return Perm(images)
     return Perm([x - 1 for x in images[1:]])
@@ -248,52 +279,58 @@ def is_irreducible(G: MatrixGroup) -> bool:
     """Whether the natural module has no proper nonzero invariant
     subspace.
 
-    Spins every one-dimensional subspace (represented by its vectors of
-    lowest nonzero code) under the generators, reducing against a growing
-    echelon basis; reducibility is witnessed by a spin that stalls below
-    full dimension.
+    Spins one vector of every one-dimensional subspace (the one whose
+    first nonzero coordinate is 1) under the generators, reducing against
+    a growing echelon basis; reducibility is witnessed by a spin that
+    stalls below full dimension.
     """
     f, n = G.field, G.dim
     if n == 1:
         return True
-    seeds = []
-    seen_lines = set()
-    for c in range(1, f.q**n):
-        v = decode_vector(f, n, c)
-        leading = next(x for x in v if not x.is_zero())
-        canon = tuple((leading.inv() * x).code for x in v)
-        if canon not in seen_lines:
-            seen_lines.add(canon)
-            seeds.append(v)
-    for v in seeds:
-        basis: list[tuple[FieldElement, ...]] = []
-        pivots: list[int] = []
-
-        def reduce_add(w: tuple[FieldElement, ...]) -> bool:
-            w = list(w)
-            for b, piv in zip(basis, pivots):
-                if not w[piv].is_zero():
-                    factor = w[piv]
-                    w = [a - factor * c2 for a, c2 in zip(w, b)]
-            piv = next((i for i, x in enumerate(w) if not x.is_zero()), None)
-            if piv is None:
+    ops = f.ops
+    mats = [M.codes() for M in G.generators]
+    for lead in range(n):
+        for tail in product(range(f.q), repeat=n - 1 - lead):
+            if not _spin_fills_space((0,) * lead + (1,) + tail, mats, ops):
                 return False
-            lead_inv = w[piv].inv()
-            basis.append(tuple(lead_inv * x for x in w))
-            pivots.append(piv)
-            return True
-
-        reduce_add(v)
-        queue = [v]
-        while queue and len(basis) < n:
-            w = queue.pop(0)
-            for M in G.generators:
-                u = apply_vector(w, M)
-                if reduce_add(u):
-                    queue.append(u)
-        if len(basis) < n:
-            return False
     return True
+
+
+def _spin_fills_space(
+    v: Sequence[int], mats: Sequence[Sequence[Sequence[int]]], ops: CodeOps
+) -> bool:
+    """Whether the images of the code vector v under products of the
+    matrices span the whole space."""
+    n = len(v)
+    basis: list[tuple[int, list[int]]] = []
+    _echelon_add(basis, v, ops)
+    queue = [v]
+    for w in queue:
+        if len(basis) == n:
+            break
+        for rows in mats:
+            u = _row_times(w, rows, ops)
+            if _echelon_add(basis, u, ops):
+                queue.append(u)
+    return len(basis) == n
+
+
+def _echelon_add(basis: list[tuple[int, list[int]]], w: Sequence[int], ops: CodeOps) -> bool:
+    """Reduce the code vector w against an echelon basis of (pivot, row)
+    pairs, each row 1 at its pivot and 0 at every earlier row's pivot;
+    append the remainder, scaled to 1 at its first nonzero coordinate,
+    and say whether it was nonzero."""
+    sub, mul = ops.sub, ops.mul
+    for piv, row in basis:
+        factor = w[piv]
+        if factor:
+            w = [sub(a, mul(factor, b)) for a, b in zip(w, row)]
+    for piv, x in enumerate(w):
+        if x:
+            scale = ops.inv(x)
+            basis.append((piv, [mul(scale, y) for y in w]))
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +380,8 @@ def matrix_group_from_text(text: str) -> MatrixGroup:
     for block in blocks:
         if len(block) != dim or any(len(row) != dim for row in block):
             raise ValueError(f"matrix block is not {dim}x{dim}: {block}")
-        for row in block:
-            for c in row:
-                if not 0 <= c < field.q:
-                    raise ValueError(f"entry code {c} out of range for GF({field.q})")
-        gens.append(MatrixF.from_codes(field, block))
+        try:
+            gens.append(MatrixF.from_codes(field, block))
+        except PreconditionError as exc:
+            raise ValueError(str(exc)) from exc
     return MatrixGroup(field, dim, gens)

@@ -173,11 +173,24 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
 # table2
 
 
+def _elements_of_order(G: PermGroup, order: int) -> list[Perm]:
+    """Every element of G of the given order.  Order is constant on a
+    conjugacy class, so it is computed once per class, on the class's
+    least member, and only the members of matching classes are built."""
+    keyed = G.keyed()
+    return [
+        keyed.perm(i)
+        for cls in keyed.classes()
+        if keyed.perm(cls[0]).order() == order
+        for i in cls
+    ]
+
+
 def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     """Every element of M0 of the given order, adjoined to G0's
     generators, must act transitively on the underlying points; the scan
     is exhaustive and fails when no element has that order."""
-    candidates = [g for g in M0.elements() if g.order() == order_wanted]
+    candidates = _elements_of_order(M0, order_wanted)
     if not candidates:
         return False
     base = tuple(G0.generators)
@@ -285,9 +298,8 @@ def _quaternion_group(two_power: int) -> PermGroup:
 def _sl2_3() -> PermGroup:
     """SL(2, 3) on the 8 nonzero vectors of GF(3)^2."""
     f = field_make(3)
-    one, zero = f.one(), f.zero()
-    u = MatrixF(f, [[one, one], [zero, one]])
-    v = MatrixF(f, [[zero, one], [-one, zero]])
+    u = MatrixF.from_codes(f, [[1, 1], [0, 1]])
+    v = MatrixF.from_codes(f, [[0, 1], [2, 0]])
     return MatrixGroup(f, 2, [u, v]).perm_group("nonzero")
 
 

@@ -178,3 +178,31 @@ def test_cross_field_operations_rejected():
     b = gf(7).element(2)
     with pytest.raises(PreconditionError):
         _ = a + b
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on codes, against FieldElement
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 17, 25, 27, 49])
+def test_code_arithmetic_matches_field_elements(q):
+    f = gf(q)
+    ops = f.ops
+    elems = [f.element(c) for c in range(q)]
+    for a, x in enumerate(elems):
+        assert ops.neg(a) == (-x).code
+        if a:
+            assert ops.inv(a) == x.inv().code
+        for b, y in enumerate(elems):
+            assert ops.add(a, b) == (x + y).code
+            assert ops.sub(a, b) == (x - y).code
+            assert ops.mul(a, b) == (x * y).code
+    with pytest.raises(PreconditionError):
+        ops.inv(0)
+
+
+def test_field_make_builds_no_tables():
+    f = field_make.__wrapped__(7, 2)
+    assert "ops" not in vars(f)
+    assert f.ops.mul(f.ops.primitive, 1) == f.ops.primitive
+    assert "ops" in vars(f)

@@ -884,3 +884,29 @@ def test_cyclic_abelian_predicate_implies_d_le_2():
     for G in (quaternion8(), quaternion16(), z_group(5, 4, 3), z_group(13, 4, 5)):
         assert all_abelian_subgroups_cyclic(G)
         assert d_exact(G).value <= 2
+
+
+def test_search_state_is_freed_without_the_cycle_collector(monkeypatch):
+    """The scan holds no reference cycle, so its _Search (with its filter
+    and key sets) dies by reference counting when d_exact returns."""
+    import gc
+    import weakref
+
+    from gen32 import gens
+
+    refs = []
+    init = gens._Search.__init__
+
+    def recording_init(self, G):
+        init(self, G)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(gens._Search, "__init__", recording_init)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert d_exact(symmetric_group(4)).value == 2
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()

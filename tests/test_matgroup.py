@@ -316,3 +316,104 @@ def test_matrix_group_text_round_trip():
 def test_matrix_group_from_text_rejects_malformed(text):
     with pytest.raises((ValueError, PreconditionError)):
         matrix_group_from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# irreducibility against an orbit-span oracle (dims 3 and 4)
+
+
+def rank_by_field_arithmetic(vectors):
+    """The rank of FieldElement vectors, by elimination in FieldElement
+    arithmetic."""
+    rows = []
+    for v in vectors:
+        v = list(v)
+        for piv, r in rows:
+            if not v[piv].is_zero():
+                factor = v[piv]
+                v = [a - factor * b for a, b in zip(v, r)]
+        piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+        if piv is not None:
+            scale = v[piv].inv()
+            rows.append((piv, [scale * x for x in v]))
+    return len(rows)
+
+
+def irreducible_by_orbit_spans(G):
+    """G is irreducible exactly when the orbit of every nonzero vector
+    spans the whole space; orbits come from the permutation action."""
+    f, n = G.field, G.dim
+    P = G.perm_group("all")
+    seen = set()
+    for c in range(1, f.q**n):
+        if c not in seen:
+            orbit = P.orbit(c)
+            seen.update(orbit)
+            if rank_by_field_arithmetic([decode_vector(f, n, x) for x in orbit]) < n:
+                return False
+    return True
+
+
+def block_triangular(rng, f, dim, k):
+    """A random invertible [[A, B], [0, C]] with A of size k: the row
+    vectors (0, y) span an invariant subspace."""
+    A = random_invertible(rng, f, k).codes()
+    C = random_invertible(rng, f, dim - k).codes()
+    top = [list(A[i]) + [rng.randrange(f.q) for _ in range(dim - k)] for i in range(k)]
+    bottom = [[0] * k + list(C[i]) for i in range(dim - k)]
+    return MatrixF.from_codes(f, top + bottom)
+
+
+def test_is_irreducible_matches_orbit_spans_on_bundled_dim4_groups():
+    for G in (table1_matrix_group(2), table1_matrix_group(3), table2_matrix_group(2)):
+        assert G.dim == 4
+        assert is_irreducible(G) == irreducible_by_orbit_spans(G) is True
+
+
+@pytest.mark.parametrize("q,dim", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_is_irreducible_matches_orbit_spans_on_random_groups(q, dim):
+    rng = random.Random(100 * q + dim)
+    f = gf(q)
+    verdicts = []
+    for _ in range(8):
+        k = rng.randrange(1, dim)
+        reducible = MatrixGroup(f, dim, [block_triangular(rng, f, dim, k) for _ in range(2)])
+        assert not irreducible_by_orbit_spans(reducible)
+        assert not is_irreducible(reducible)
+        G = MatrixGroup(f, dim, [random_invertible(rng, f, dim) for _ in range(rng.randint(1, 2))])
+        verdicts.append(irreducible_by_orbit_spans(G))
+        assert is_irreducible(G) == verdicts[-1]
+    assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# the engine computes on codes
+
+
+FIELD_ELEMENT_OPERATORS = ("__add__", "__sub__", "__mul__", "__neg__", "inv", "__pow__")
+
+
+def test_engine_calls_no_field_element_operator(monkeypatch):
+    from gen32.constructions import agl1, s0_group, sl2
+    from gen32.field import FieldElement
+
+    def forbidden(*args):
+        raise AssertionError("FieldElement operator called")
+
+    for op in FIELD_ELEMENT_OPERATORS:
+        monkeypatch.setattr(FieldElement, op, forbidden)
+    # set the code tables up again under the guard
+    for q in (3, 9, 13, 49, 81):
+        monkeypatch.delitem(vars(gf(q)), "ops", raising=False)
+    groups = [s0_group(9), s0_group(49), sl2(13), table1_matrix_group(2), table2_matrix_group(2)]
+    groups.append(matrix_group_from_text(matrix_group_text(groups[0])))
+    for G in groups:
+        assert is_irreducible(G)
+        for M in G.generators:
+            assert M.det().code != 0
+            assert (M * M).is_invertible()
+            for action in ("nonzero", "all"):
+                perm_from_matrix(M, action)
+    assert not is_irreducible(MatrixGroup(gf(3), 2, [mat(3, [[1, 1], [0, 1]])]))
+    assert agl1(81).order() == 81 * 80
+    assert agl1(13).order() == 13 * 12

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from gen32.constructions import table2_matrix_group
 from gen32.errors import PreconditionError
 from gen32.permgroup import Perm, PermGroup
 from gen32.verify import (
+    TABLE2_EXPECTED,
     ClaimVerdict,
+    _elements_of_order,
     _order8_type,
     run_suite,
     verify_corollary3,
@@ -108,3 +113,33 @@ def test_run_suite_lemma7_q_list_passthrough():
     verdicts = run_suite("lemma7", [7])
     assert len(verdicts) == 3
     assert all(v.claim_id.startswith("lemma7.q7.") for v in verdicts)
+
+
+def elements_of_order_by_filter(G, order):
+    """The element-wise filter the witness scan used to run."""
+    return sorted(g.images for g in G.elements() if g.order() == order)
+
+
+def test_witness_candidates_match_the_elementwise_filter_on_table2():
+    for i in (1, 2):
+        M0 = table2_matrix_group(i).perm_group("nonzero")
+        r1 = TABLE2_EXPECTED[i]["r1"]
+        got = sorted(g.images for g in _elements_of_order(M0, r1))
+        assert got and got == elements_of_order_by_filter(M0, r1)
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 20))
+def test_elements_of_order_match_the_elementwise_filter_on_random_groups(seed):
+    for s in range(seed, seed + 20):
+        rng = random.Random(s)
+        degree = rng.randint(2, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(Perm(images))
+        G = PermGroup(degree, gens)
+        orders = [(g.order(), g.images) for g in G.elements()]
+        for order in sorted({o for o, _ in orders}) + [degree + 5]:
+            got = sorted(g.images for g in _elements_of_order(G, order))
+            assert got == sorted(images for o, images in orders if o == order)
