@@ -59,7 +59,8 @@ DATA_ENV = "GEN32_DATA_DIR"
 
 
 def s0_group(q: int) -> MatrixGroup:
-    """The monomial group of order 4(q - 1) inside GL(2, q), q odd.
+    """The monomial group of order 4(q - 1) inside GL(2, q), q odd, with
+    q^2 - 1 <= POINT_LIMIT nonzero vectors to act on.
 
     Generated by u = antidiag(1; 1), v = diag(1, -1) and
     w = diag(w0, w0^-1) with w0 the canonical primitive element.
@@ -67,6 +68,8 @@ def s0_group(q: int) -> MatrixGroup:
     p, m = prime_power(q)
     if p == 2:
         raise PreconditionError("s0_group needs odd q")
+    if q * q - 1 > POINT_LIMIT:
+        raise PreconditionError(f"point count {q * q - 1} exceeds cap {POINT_LIMIT}")
     f = field_make(p, m)
     ops = f.ops
     w0 = ops.primitive

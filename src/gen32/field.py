@@ -16,9 +16,10 @@ group (GF(2) degenerately uses its identity, code 1).
 The engine computes on codes: ``FieldSpec.ops`` adds, subtracts,
 negates, multiplies and inverts codes, by plain arithmetic mod p in a
 prime field and through log/antilog and Zech-logarithm tables of size q,
-built on first use, for m > 1.  ``FieldElement`` is the wrapper for
-parsing and the public API, and its polynomial arithmetic is the
-reference the code arithmetic is tested against.
+built on first use, for m > 1; like a permutation action's point set,
+those tables are capped at ``POINT_LIMIT`` entries.  ``FieldElement``
+is the wrapper for parsing and the public API, and its polynomial
+arithmetic is the reference the code arithmetic is tested against.
 
 Fields here stay small (p^m <= 2^31) and all algorithms are the direct
 deterministic ones; there is no randomized factoring or primality
@@ -35,6 +36,9 @@ from typing import Sequence
 from .errors import PreconditionError
 
 ORDER_LIMIT = 2**31
+# The most points a permutation action, and the most entries a field's
+# code tables, may have.
+POINT_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -158,22 +162,23 @@ def _ppowmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
 def _poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility of a monic polynomial over GF(p).
 
-    Degree <= 3 uses the root test (complete there); higher degrees use
-    the standard criterion x^(p^m) = x mod f together with
-    gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m.
+    A root is a linear factor, so a polynomial of degree >= 2 with a root
+    is reducible; that test is complete up to degree 3.  Higher degrees
+    without a root use the standard criterion x^(p^m) = x mod f together
+    with gcd(x^(p^(m/l)) - x, f) = 1 for every prime l dividing m.
     """
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
     if m == 1:
         return True
+    for a in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return False
     if m <= 3:
-        for a in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
         return True
     xq = _ppowmod([0, 1], p**m, coeffs, p)
     if _ptrim(list(xq)) != [0, 1]:
@@ -206,10 +211,21 @@ def _code(coeffs: Sequence[int], p: int) -> int:
     return acc
 
 
-def _full_order_exponents(n: int) -> list[int]:
-    """The exponents n / l for the primes l dividing n: an element of a
-    group of order n has order n exactly when none of these powers is 1."""
-    return [n // ell for ell in prime_factors(n)]
+def _primitive_code(p: int, m: int, modulus: Sequence[int] | None) -> int:
+    """The code of the canonical primitive element of GF(p^m): the least
+    code >= 2 of multiplicative order q - 1 (for q = 2, the identity,
+    code 1).  An element has that order exactly when none of its powers
+    (q - 1) / l, for the primes l dividing q - 1, is 1.  A prime field
+    reduces modulo x, which keeps the constant coefficient."""
+    q = p**m
+    if q == 2:
+        return 1
+    mod = modulus or (0, 1)
+    exponents = [(q - 1) // ell for ell in prime_factors(q - 1)]
+    return next(
+        c for c in range(2, q)
+        if all(_ppowmod(_digits(c, p, m), e, mod, p) != [1] for e in exponents)
+    )
 
 
 class PrimeCodes:
@@ -220,10 +236,7 @@ class PrimeCodes:
 
     def __init__(self, p: int):
         self.p = p
-        exponents = _full_order_exponents(p - 1)
-        self.primitive = 1 if p == 2 else next(
-            c for c in range(2, p) if all(pow(c, e, p) != 1 for e in exponents)
-        )
+        self.primitive = _primitive_code(p, 1, None)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -261,12 +274,8 @@ class LogTableCodes:
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         q = p**m
         n = q - 1
-        exponents = _full_order_exponents(n)
-        self.primitive = next(
-            c for c in range(2, q)
-            if all(_ppowmod(_digits(c, p, m), e, modulus, p) != [1] for e in exponents)
-        )
-        g = _digits(self.primitive, p, m)
+        self.primitive = _primitive_code(p, m, modulus)
+        g = _ptrim(_digits(self.primitive, p, m))
         log: list[int | None] = [None] * q
         exp = [0] * n
         x = [1]
@@ -350,9 +359,16 @@ class FieldSpec:
 
     @cached_property
     def ops(self) -> CodeOps:
-        """Arithmetic on this field's element codes, set up on first use."""
+        """Arithmetic on this field's element codes, set up on first use.
+
+        The tables of an extension field hold q entries each, so they are
+        capped like the point set of a permutation action."""
         if self.m == 1:
             return PrimeCodes(self.p)
+        if self.q > POINT_LIMIT:
+            raise PreconditionError(
+                f"GF({self.q}) exceeds the code-table cap {POINT_LIMIT}"
+            )
         return LogTableCodes(self.p, self.m, self.modulus)
 
     def element(self, code: int) -> FieldElement:
@@ -463,4 +479,4 @@ def primitive_element(field: FieldSpec) -> FieldElement:
     """The canonical generator of the multiplicative group: the element
     of least code >= 2 and multiplicative order q - 1 (for q = 2, the
     identity, code 1)."""
-    return field.element(field.ops.primitive)
+    return field.element(_primitive_code(field.p, field.m, field.modulus))

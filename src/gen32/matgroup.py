@@ -36,10 +36,8 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import CodeOps, FieldElement, FieldSpec, field_make
+from .field import POINT_LIMIT, CodeOps, FieldElement, FieldSpec, field_make
 from .permgroup import Perm, PermGroup
-
-POINT_LIMIT = 10**6
 
 
 class MatrixF:
@@ -212,14 +210,14 @@ def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:
     q*dim vectors d*e_j multiply codes, and every other point costs one
     code addition.
     """
-    if not M.is_invertible():
-        raise PreconditionError("only invertible matrices induce permutations")
     f = M.field
     total = f.q**M.dim
     if total > POINT_LIMIT:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
     if action not in ("all", "nonzero"):
         raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
+    if not M.is_invertible():
+        raise PreconditionError("only invertible matrices induce permutations")
     p, q, mul = f.p, f.q, f.ops.mul
     images = [0]
     for row in M.codes():

@@ -82,6 +82,18 @@ def test_construct_precondition_failure_is_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("q", [3**11, 3**13, 3**19])
+@pytest.mark.parametrize("argv", [("analyze", "s0"), ("construct", "s0"), ("analyze", "affine")])
+def test_s0_over_the_point_cap_is_exit_3_before_any_field_work(capsys, monkeypatch, argv, q):
+    def refuse(*args):
+        raise AssertionError("field set up before the point cap was checked")
+
+    monkeypatch.setattr("gen32.constructions.field_make", refuse)
+    code, _, err = run_cli(capsys, *argv, "--q", str(q))
+    assert code == 3
+    assert "exceeds cap" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

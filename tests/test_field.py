@@ -206,3 +206,18 @@ def test_field_make_builds_no_tables():
     assert "ops" not in vars(f)
     assert f.ops.mul(f.ops.primitive, 1) == f.ops.primitive
     assert "ops" in vars(f)
+
+
+def test_primitive_element_builds_no_tables():
+    f = field_make.__wrapped__(2, 16)
+    w = primitive_element(f)
+    assert "ops" not in vars(f)
+    assert w.code == f.ops.primitive
+
+
+def test_code_tables_are_capped():
+    # GF(3^13) has 1594323 elements, more than the cap allows a table
+    f = FieldSpec(3, 13, (1,) + (0,) * 11 + (2, 1))
+    with pytest.raises(PreconditionError, match="code-table cap"):
+        f.ops
+    assert primitive_element(f).code == 3

@@ -5,7 +5,7 @@ import pytest
 
 from gen32.constructions import table1_matrix_group, table2_matrix_group
 from gen32.errors import PreconditionError
-from gen32.field import field_make, prime_power
+from gen32.field import FieldSpec, field_make, prime_power
 from gen32.matgroup import (
     MatrixF,
     MatrixGroup,
@@ -417,3 +417,17 @@ def test_engine_calls_no_field_element_operator(monkeypatch):
     assert not is_irreducible(MatrixGroup(gf(3), 2, [mat(3, [[1, 1], [0, 1]])]))
     assert agl1(81).order() == 81 * 80
     assert agl1(13).order() == 13 * 12
+
+
+def test_perm_from_matrix_checks_the_point_cap_before_any_table():
+    base = field_make(2, 10)
+    f = FieldSpec(base.p, base.m, base.modulus)  # a copy with no tables yet
+    with pytest.raises(PreconditionError, match="exceeds cap"):
+        perm_from_matrix(MatrixF.identity(f, 2))
+    assert "ops" not in vars(f)
+
+
+def test_det_over_a_field_beyond_the_table_cap_is_a_precondition_error():
+    f = FieldSpec(3, 13, (1,) + (0,) * 11 + (2, 1))
+    with pytest.raises(PreconditionError, match="code-table cap"):
+        MatrixF.identity(f, 1).det()
