@@ -47,7 +47,6 @@ from .matgroup import (
     POINT_LIMIT,
     add_codes,
     matrix_group_from_text,
-    perm_from_matrix,
 )
 from .permgroup import Perm, PermGroup, StabChain, build_chain, chain_from_stabilizer
 
@@ -188,14 +187,12 @@ def affine_of_linear_perms(field: FieldSpec, dim: int, nonzero_perms: tuple[Perm
 def affine_group(G0: MatrixGroup) -> PermGroup:
     """The semidirect product V . G0 on all q^dim vector codes.
 
-    Generators are the dim standard-basis translations followed by the
-    permutations of the matrix generators of G0.  The stabilizer chain
-    is assembled from the translations and a chain of G0's permutations
-    alone (``_AffineGroup``).
+    The linear part is G0's permutation group on nonzero vectors
+    (``MatrixGroup.perm_group``, which converts each matrix once), so the
+    generators are the dim standard-basis translations followed by the
+    permutations of the matrix generators of G0 on all vectors.
     """
-    return _AffineGroup(
-        G0.field, G0.dim, tuple(perm_from_matrix(M, "all") for M in G0.generators)
-    )
+    return affine_of_linear_perms(G0.field, G0.dim, G0.perm_group("nonzero").generators)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +343,7 @@ def z_group_kernel_action(m: int, n: int, r: int) -> PermGroup:
 def agl1(q: int) -> PermGroup:
     """AGL(1, q) = {x -> ax + b} on the q field-element codes, generated
     by x -> x + 1 and x -> wx for the canonical primitive element w."""
-    p, m = prime_power(q)
-    f = field_make(p, m)
-    if q > POINT_LIMIT:
-        raise PreconditionError(f"degree {q} exceeds cap {POINT_LIMIT}")
-    ops = f.ops
+    ops = field_make(*prime_power(q)).ops
     t = Perm([ops.add(c, 1) for c in range(q)])
     w0 = ops.primitive
     s = Perm([ops.mul(c, w0) for c in range(q)])

@@ -16,14 +16,15 @@ group (GF(2) degenerately uses its identity, code 1).
 The engine computes on codes: ``FieldSpec.ops`` adds, subtracts,
 negates, multiplies and inverts codes, by plain arithmetic mod p in a
 prime field and through log/antilog and Zech-logarithm tables of size q,
-built on first use, for m > 1; like a permutation action's point set,
-those tables are capped at ``POINT_LIMIT`` entries.  ``FieldElement``
-is the wrapper for parsing and the public API, and its polynomial
-arithmetic is the reference the code arithmetic is tested against.
+built on first use, for m > 1.  ``FieldElement`` is the wrapper for
+parsing and the public API, and its polynomial arithmetic is the
+reference the code arithmetic is tested against.
 
-Fields here stay small (p^m <= 2^31) and all algorithms are the direct
-deterministic ones; there is no randomized factoring or primality
-testing anywhere.
+``POINT_LIMIT`` bounds the field order as it bounds a permutation
+action's point set: ``field_make`` refuses p^m > ``POINT_LIMIT`` before
+it looks for a modulus, so a field's code tables never outgrow it.
+All algorithms are the direct deterministic ones; there is no
+randomized factoring or primality testing anywhere.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from typing import Sequence
 
 from .errors import PreconditionError
 
-ORDER_LIMIT = 2**31
-# The most points a permutation action, and the most entries a field's
-# code tables, may have.
+# The most points a permutation action, and the most elements a field,
+# may have.
 POINT_LIMIT = 10**6
 
 
@@ -387,14 +387,16 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
 
     The modulus for m >= 2 is found by scanning monic degree-m
     polynomials in lexicographic order of their coefficient sequences
-    (low degree first) and taking the first irreducible one.
+    (low degree first) and taking the first irreducible one.  Fields
+    with more than ``POINT_LIMIT`` elements are refused before the
+    characteristic's primality test and the scan.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"field characteristic must be prime, got {p}")
     if m < 1:
         raise PreconditionError(f"field degree must be >= 1, got {m}")
-    if p**m > ORDER_LIMIT:
-        raise PreconditionError(f"field order {p}^{m} exceeds limit {ORDER_LIMIT}")
+    if p**m > POINT_LIMIT:
+        raise PreconditionError(f"field order {p}^{m} exceeds cap {POINT_LIMIT}")
+    if not is_prime(p):
+        raise PreconditionError(f"field characteristic must be prime, got {p}")
     if m == 1:
         return FieldSpec(p, 1, None)
     for low in product(range(p), repeat=m):

@@ -60,7 +60,6 @@ from .matgroup import MatrixGroup, is_irreducible
 from .permgroup import Perm, PermGroup, coset_action, derived_subgroup, sylow_subgroup
 
 DEFAULT_BUDGET = 10**8
-D_ORDER_LIMIT = 10**5
 PREFIX_SET_LIMIT = 4096
 ABELIAN_FILTER_LIMIT = 256
 
@@ -340,13 +339,11 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     method 'exhaustive'.  Otherwise falls back to a budget-capped upper
     search that must meet the certified lower bound (method
     'bound-meet'); anything else raises IndeterminateError.  Requires
-    |G| <= 10^5.
+    |G| within the enumeration cap of ``PermGroup.keyed``.
     """
     if budget < 1:
         raise PreconditionError("budget must be positive")
     n = G.order()
-    if n > D_ORDER_LIMIT:
-        raise PreconditionError(f"group order {n} exceeds the d_exact cap {D_ORDER_LIMIT}")
     if n == 1:
         return DResult(value=0, witness=GenTuple(elements=(), verified=True), method=METHOD_EXHAUSTIVE)
     search = _Search(G)
@@ -380,7 +377,6 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
                 f"budget {budget} exhausted inside the size-{k} scan with no witness; "
                 f"certified so far: {lower} <= d(G)"
             )
-        exhausted_to = k
         lower = max(lower, k + 1)
         k += 1
     raise IndeterminateError(

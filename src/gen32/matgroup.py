@@ -13,11 +13,12 @@ on nonzero vectors.
 A matrix holds the integer codes of its entries, and every computation
 here (products, determinants, the point images of ``perm_from_matrix``,
 the spins of ``is_irreducible``) runs on codes through the field's
-``FieldSpec.ops``.  ``FieldElement`` only wraps codes at the public
-edges: ``MatrixF(field, rows)`` and ``MatrixF.rows``, ``det``, and the
-vector helpers ``encode_vector``, ``decode_vector`` and
-``apply_vector``, which compute with ``FieldElement`` arithmetic and
-serve as the reference for the code paths.
+``FieldSpec.ops``.  A matrix is built from codes (``MatrixF.from_codes``)
+and ``FieldElement`` only wraps codes at the public edges:
+``MatrixF.rows``, ``det``, and the vector helpers ``encode_vector``,
+``decode_vector`` and ``apply_vector``, which compute with
+``FieldElement`` arithmetic and serve as the reference for the code
+paths.
 
 The text format for matrix-group files is::
 
@@ -46,23 +47,14 @@ class MatrixF:
 
     __slots__ = ("field", "dim", "_codes")
 
-    def __init__(self, field: FieldSpec, rows: Sequence[Sequence[FieldElement]]):
-        rows = [tuple(r) for r in rows]
-        if any(x.field != field for r in rows for x in r):
-            raise PreconditionError("matrix entry from a different field")
-        self._set(field, [[x.code for x in r] for r in rows])
-
-    def _set(self, field: FieldSpec, code_rows: Sequence[Sequence[int]]) -> None:
-        self.field = field
-        self._codes = tuple(tuple(r) for r in code_rows)
-        self.dim = len(self._codes)
-        if self.dim < 1 or any(len(r) != self.dim for r in self._codes):
-            raise PreconditionError("matrix must be square and nonempty")
-
     @classmethod
     def from_codes(cls, field: FieldSpec, code_rows: Sequence[Sequence[int]]) -> MatrixF:
         M = cls.__new__(cls)
-        M._set(field, code_rows)
+        M.field = field
+        M._codes = tuple(tuple(r) for r in code_rows)
+        M.dim = len(M._codes)
+        if M.dim < 1 or any(len(r) != M.dim for r in M._codes):
+            raise PreconditionError("matrix must be square and nonempty")
         bad = next((c for r in M._codes for c in r if not 0 <= c < field.q), None)
         if bad is not None:
             raise PreconditionError(f"entry code {bad} out of range for GF({field.q})")

@@ -73,7 +73,6 @@ from .field import is_prime, prime_factors
 
 ELEMENT_LIMIT = 10**5
 SUBGROUP_CENSUS_LIMIT = 2000
-QUOTIENT_INDEX_LIMIT = 10**4
 
 
 def _take(images: Sequence[int], points: Sequence[int]) -> tuple[int, ...]:
@@ -810,13 +809,12 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
     the quotient generators are the actions of G's generators by right
     multiplication.  The coset N e is labelled on keys: the keys of N's
     elements are a key closure, key(n * e) = e.images_of(key(n)), and only
-    the representatives e are built.  The index is capped at 10^4.
+    the representatives e are built.  G is enumerated, so |G| is capped
+    like ``keyed()``.
     """
     if not normal_in(N, G):
         raise PreconditionError("can only form the quotient by a normal subgroup")
     index = G.order() // N.order()
-    if index > QUOTIENT_INDEX_LIMIT:
-        raise PreconditionError(f"quotient index {index} exceeds cap {QUOTIENT_INDEX_LIMIT}")
     keyed = G.keyed()
     keys = keyed.keys
     n_keys = keyed.closure(N.generators)
@@ -1084,5 +1082,5 @@ def group_from_text(text: str) -> PermGroup:
             raise ValueError(f"permutation line has {len(images)} images, expected {degree}")
         if sorted(images) != list(range(degree)):
             raise ValueError(f"line is not a permutation of 0..{degree - 1}: {ln!r}")
-        gens.append(Perm(images))
+        gens.append(Perm._raw(images))
     return PermGroup(degree, tuple(gens))

@@ -371,10 +371,11 @@ def run_suite(name: str, q_list: Sequence[int] | None = None) -> list[ClaimVerdi
         return verify_generation_lemmas()
     if name == "all":
         out: list[ClaimVerdict] = []
-        for part in ("table1", "table2", "lemma7", "corollary3", "genlemmas"):
+        for part in SUITE_PARTS:
             out.extend(run_suite(part, q_list))
         return sorted(out, key=lambda v: v.claim_id)
     raise PreconditionError(f"unknown suite {name!r}")
 
 
-SUITE_NAMES = ("table1", "table2", "lemma7", "corollary3", "genlemmas", "all")
+SUITE_PARTS = ("table1", "table2", "lemma7", "corollary3", "genlemmas")
+SUITE_NAMES = SUITE_PARTS + ("all",)

@@ -94,6 +94,29 @@ def test_s0_over_the_point_cap_is_exit_3_before_any_field_work(capsys, monkeypat
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("analyze", "agl1", "--q", str(3**19)), ("construct", "agl1", "--q", str(2**31))]
+)
+def test_agl1_over_the_field_cap_is_exit_3_before_the_modulus_scan(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("modulus scan ran for a field over the cap")
+
+    monkeypatch.setattr("gen32.field._poly_is_irreducible", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "exceeds cap" in err
+
+
+def test_analyze_over_the_enumeration_cap_reports_an_indeterminate_d(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "agl1", "--q", "343")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 343 * 342
+    assert "cap 100000" in payload["d"]["indeterminate"]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,6 +1,7 @@
 import os
 import random
 import shutil
+import sys
 
 import pytest
 
@@ -130,6 +131,42 @@ def test_affine_of_linear_perms_matches_affine_group():
     B = affine_group(G0)
     assert A.order() == B.order()
     assert set(A.generators) == set(B.generators)
+
+
+def _count_conversions(monkeypatch):
+    """Count calls of ``perm_from_matrix``, rebound in every gen32 module
+    that binds it by name."""
+    calls = []
+    original = perm_from_matrix
+
+    def counted(M, action="nonzero"):
+        calls.append((M, action))
+        return original(M, action)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gen32") and getattr(module, "perm_from_matrix", None) is original:
+            monkeypatch.setattr(module, "perm_from_matrix", counted)
+    return calls
+
+
+def test_affine_group_converts_each_matrix_once(monkeypatch):
+    calls = _count_conversions(monkeypatch)
+    G0 = s0_group(5)
+    affine_group(G0)
+    G0.perm_group("nonzero")
+    affine_group(G0)
+    assert calls == [(M, "nonzero") for M in G0.generators]
+
+
+@pytest.mark.parametrize(
+    "table,i",
+    [(table1_matrix_group, i) for i in (1, 2, 3, 4)] + [(table2_matrix_group, i) for i in (1, 2)],
+    ids=["G1", "G2", "G3", "G4", "M1", "M2"],
+)
+def test_affine_group_generators_are_the_all_vectors_images(table, i):
+    G0 = table(i)
+    linear = affine_group(G0).generators[G0.dim :]
+    assert linear == tuple(perm_from_matrix(M, "all") for M in G0.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +487,10 @@ def test_agl1(q):
 def test_agl1_rejects_non_prime_powers(q):
     with pytest.raises(PreconditionError):
         agl1(q)
+
+
+def test_coset_action_indexes_more_than_ten_thousand_cosets():
+    G = agl1(101)
+    ca = coset_action(G, PermGroup(101, ()))
+    assert ca.group.degree == len(ca.reps) == 101 * 100
+    assert ca.reps[0].is_identity()

@@ -221,3 +221,18 @@ def test_code_tables_are_capped():
     with pytest.raises(PreconditionError, match="code-table cap"):
         f.ops
     assert primitive_element(f).code == 3
+
+
+@pytest.mark.parametrize("p,m", [(3, 19), (2, 31), (1000003, 1), (10**18 + 3, 1)])
+def test_field_make_refuses_fields_over_the_point_cap_first(monkeypatch, p, m):
+    def refuse(*args):
+        raise AssertionError("primality test or modulus scan ran for a field over the cap")
+
+    monkeypatch.setattr("gen32.field.is_prime", refuse)
+    monkeypatch.setattr("gen32.field._poly_is_irreducible", refuse)
+    with pytest.raises(PreconditionError, match="exceeds cap"):
+        field_make(p, m)
+
+
+def test_field_make_accepts_a_prime_field_at_the_point_cap():
+    assert field_make(999983).q == 999983  # the largest prime below 10^6
