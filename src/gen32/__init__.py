@@ -51,7 +51,6 @@ from .permgroup import (
     normal_in,
     perm_to_text,
     subgroups_up_to_conjugacy,
-    sylow_subgroup,
     symmetric_group,
 )
 from .transitivity import (
@@ -122,7 +121,6 @@ __all__ = [
     "sl2_twisted_check",
     "sl2_twisted_group",
     "subgroups_up_to_conjugacy",
-    "sylow_subgroup",
     "symmetric_group",
     "table1_group",
     "table1_matrix_group",

@@ -312,8 +312,8 @@ def z_group(m: int, n: int, r: int) -> PermGroup:
     Points code the normal forms a^i b^j as i + m*j; right
     multiplication by a sends (i, j) to (i + r^j mod m, j) and by b
     sends (i, j) to (i, j + 1 mod n).  The constraints gcd(m, n) = 1,
-    gcd(r - 1, m) = 1 and r^n = 1 mod m make every Sylow subgroup
-    cyclic.
+    gcd(r - 1, m) = 1 and r^n = 1 mod m make every subgroup of prime
+    power order cyclic, so every abelian subgroup is cyclic too.
     """
     _z_group_check(m, n, r)
     total = m * n

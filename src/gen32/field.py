@@ -75,9 +75,13 @@ def prime_factors(n: int) -> list[int]:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Write q as p^m with p prime, or raise if q is not a prime power."""
+    """Write q as p^m with p prime, or raise if q is not a prime power.
+    Refuses q > ``POINT_LIMIT`` before factoring, as no field that large
+    is built."""
     if q < 2:
         raise PreconditionError(f"{q} is not a prime power")
+    if q > POINT_LIMIT:
+        raise PreconditionError(f"q = {q} exceeds cap {POINT_LIMIT}")
     ps = prime_factors(q)
     if len(ps) != 1:
         raise PreconditionError(f"{q} is not a prime power")

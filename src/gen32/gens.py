@@ -29,11 +29,10 @@ candidate that passes both is accepted when its Schreier-Sims order is
 Every l-rank is computed one way: an abelian X/Y has l-rank r exactly when
 |X : Y X^l| = l^r, and Y X^l is generated by Y and the l-th powers of
 X's generators.  The abelianization bound reads that index off chain
-orders, the abelian filter off orbit lengths in the regular action of
-G/[G,G] on coset labels, and the cyclic-Sylow test is the bound's value
-on a Sylow subgroup.  The same subgroups pick the filter's last-slot
-labels: some x has <S, x> = A only when A/S is cyclic, and then exactly
-the x outside every S A^l do.
+orders, and the abelian filter off orbit lengths in the regular action
+of G/[G,G] on coset labels.  The same subgroups pick the filter's
+last-slot labels: some x has <S, x> = A only when A/S is cyclic, and
+then exactly the x outside every S A^l do.
 
 The projected cost of size k is classes(G) * |G|^(k-1) candidate
 tuples.  When that exceeds the budget, ``d_exact`` switches to
@@ -55,9 +54,9 @@ from typing import Sequence
 
 from .constructions import affine_group, extend_fixing_zero, translations
 from .errors import IndeterminateError, PreconditionError
-from .field import prime_factors
+from .field import is_prime, prime_factors
 from .matgroup import MatrixGroup, is_irreducible
-from .permgroup import Perm, PermGroup, coset_action, derived_subgroup, sylow_subgroup
+from .permgroup import Perm, PermGroup, coset_action, derived_subgroup
 
 DEFAULT_BUDGET = 10**8
 PREFIX_SET_LIMIT = 4096
@@ -348,24 +347,16 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
         return DResult(value=0, witness=GenTuple(elements=(), verified=True), method=METHOD_EXHAUSTIVE)
     search = _Search(G)
     classes = len(search.reps)
-    k = 1
-    exhausted_to = 0
-    while k <= _max_possible_d(n):
-        projected = classes * n ** (k - 1)
-        if search.tests + projected > budget:
+    lower = None  # the certified lower bound, once the search meets the budget
+    for k in range(1, _max_possible_d(n) + 1):
+        if lower is None and search.tests + classes * n ** (k - 1) > budget:
+            lower = max(d_lower_bound_abelian(G), k)
+        if lower is not None and search.tests >= budget:
             break
-        witness = search.run_level(k, None)
-        if witness is not None:
-            return DResult(value=k, witness=_verified(G, witness), method=METHOD_EXHAUSTIVE)
-        exhausted_to = k
-        k += 1
-    else:
-        raise RuntimeError("internal error: no generating set up to log2(|G|)")
-
-    lower = max(d_lower_bound_abelian(G), exhausted_to + 1)
-    while search.tests < budget and k <= _max_possible_d(n):
         witness = search.run_level(k, budget)
         if witness is not None:
+            if lower is None:
+                return DResult(value=k, witness=_verified(G, witness), method=METHOD_EXHAUSTIVE)
             if k == lower:
                 return DResult(value=k, witness=_verified(G, witness), method=METHOD_BOUND_MEET)
             raise IndeterminateError(
@@ -377,8 +368,10 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
                 f"budget {budget} exhausted inside the size-{k} scan with no witness; "
                 f"certified so far: {lower} <= d(G)"
             )
-        lower = max(lower, k + 1)
-        k += 1
+        if lower is not None:
+            lower = max(lower, k + 1)
+    if lower is None:
+        raise RuntimeError("internal error: no generating set up to log2(|G|)")
     raise IndeterminateError(
         f"budget {budget} exhausted before any generating tuple was found; "
         f"certified so far: {lower} <= d(G)"
@@ -440,23 +433,17 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
 def all_abelian_subgroups_cyclic(G: PermGroup) -> bool:
     """Whether every abelian subgroup of G is cyclic.
 
-    Equivalent to: every Sylow subgroup for odd primes is cyclic, and
-    the Sylow 2-subgroup is cyclic or generalized quaternion (the only
-    noncyclic 2-groups with a unique involution).  A Sylow subgroup P is
-    cyclic when d_lower_bound_abelian(P) <= 1: for a p-group that bound
-    is d(P), by Burnside's basis theorem.
+    A noncyclic abelian group contains C_l x C_l for a prime l, and
+    conjugating such a subgroup makes one of its generators the least
+    member of its class.  So G passes exactly when each class whose least
+    member x has prime order l has exactly l - 1 elements of order l
+    commuting with x, namely x's nontrivial powers.  Requires |G| within
+    the enumeration cap of ``PermGroup.keyed``.
     """
-    n = G.order()
-    if n == 1:
-        return True
-    for ell in prime_factors(n):
-        P = sylow_subgroup(G, ell)
-        if d_lower_bound_abelian(P) <= 1:
-            continue  # cyclic
-        if ell != 2:
-            return False
-        if P.order() < 8:
-            return False  # noncyclic of order 4 is the Klein group
-        if sum(1 for e in P.elements() if e.order() == 2) != 1:
-            return False
+    keyed = G.keyed()
+    for cls, ell in zip(keyed.classes(), keyed.class_orders()):
+        if is_prime(ell):
+            x = keyed.perm(cls[0])
+            if sum(x * y == y * x for y in G.elements_of_order(ell)) != ell - 1:
+                return False
     return True

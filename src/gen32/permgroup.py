@@ -69,7 +69,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import is_prime, prime_factors
+from .field import prime_factors
 
 ELEMENT_LIMIT = 10**5
 SUBGROUP_CENSUS_LIMIT = 2000
@@ -456,7 +456,18 @@ class KeyedElements:
     ``perm(i)`` builds the i-th element on first request and keeps it.
     """
 
-    __slots__ = ("chain", "base", "keys", "_gens", "_parent", "_via", "_perms", "_by_key", "_classes")
+    __slots__ = (
+        "chain",
+        "base",
+        "keys",
+        "_gens",
+        "_parent",
+        "_via",
+        "_perms",
+        "_by_key",
+        "_classes",
+        "_orders",
+    )
 
     def __init__(self, group: PermGroup):
         self.chain = _lex_least_chain(group)
@@ -490,6 +501,7 @@ class KeyedElements:
         self._perms: list[Perm | None] = [None] * len(keys)
         self._by_key: array | None = None
         self._classes: list[list[int]] | None = None
+        self._orders: list[int] | None = None
 
     def perm(self, i: int) -> Perm:
         """The i-th element, x = u_k * ... * u_1 for the transversal
@@ -553,6 +565,13 @@ class KeyedElements:
                 classes.append(sorted(members, key=keys.__getitem__))
             self._classes = classes
         return self._classes
+
+    def class_orders(self) -> list[int]:
+        """The element order of each class of ``classes()``, computed
+        once, on its least member."""
+        if self._orders is None:
+            self._orders = [self.perm(cls[0]).order() for cls in self.classes()]
+        return self._orders
 
     def closure(self, perms: Sequence[Perm], limit: int | None = None) -> set[tuple[int, ...]] | None:
         """The keys of the subgroup generated by some elements of the
@@ -703,11 +722,18 @@ class PermGroup:
         keyed = self.keyed()
         return [[keyed.perm(i) for i in cls] for cls in keyed.classes()]
 
-    def conjugacy_class_reps(self) -> list[Perm]:
-        """Lexicographically least member of each class, sorted; only the
-        representatives are built."""
+    def elements_of_order(self, order: int) -> list[Perm]:
+        """Every element of the given order, class by class.  Order is
+        constant on a conjugacy class, so it is computed once per class,
+        on the class's least member, and only the members of matching
+        classes are built."""
         keyed = self.keyed()
-        return [keyed.perm(cls[0]) for cls in keyed.classes()]
+        return [
+            keyed.perm(i)
+            for cls, o in zip(keyed.classes(), keyed.class_orders())
+            if o == order
+            for i in cls
+        ]
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -834,52 +860,6 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
         labels=labels,
         subgroup=N,
     )
-
-
-def sylow_subgroup(G: PermGroup, ell: int) -> PermGroup:
-    """A Sylow ell-subgroup, grown deterministically.
-
-    Starts from the lexicographically least element of maximal
-    ell-power order and repeatedly adjoins the first ell-element (in
-    enumeration order) that normalizes the current subgroup, which by
-    Sylow theory always reaches the full ell-part of |G|.  Returns the
-    trivial group when ell does not divide |G|.
-    """
-    if not is_prime(ell):
-        raise PreconditionError(f"sylow_subgroup needs a prime, got {ell}")
-    order = G.order()
-    target = 1
-    while order % ell == 0:
-        order //= ell
-        target *= ell
-    if target == 1:
-        return PermGroup(G.degree, ())
-    elems = G.elements()
-    ell_elems = []
-    best: tuple[int, Perm] | None = None
-    for e in elems:
-        o = e.order()
-        if o > 1 and _is_power_of(o, ell):
-            ell_elems.append(e)
-            if best is None or o > best[0] or (o == best[0] and e < best[1]):
-                best = (o, e)
-    gens = [best[1]]
-    current = PermGroup(G.degree, tuple(gens))
-    while current.order() < target:
-        for y in ell_elems:
-            if y not in current and all(p.conj(y) in current for p in gens):
-                gens.append(y)
-                current = PermGroup(G.degree, tuple(gens))
-                break
-        else:
-            raise RuntimeError("sylow growth stalled")  # unreachable by Sylow theory
-    return current
-
-
-def _is_power_of(n: int, ell: int) -> bool:
-    while n % ell == 0:
-        n //= ell
-    return n == 1
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,7 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
     qs = tuple(q_list) if q_list is not None else LEMMA7_DEFAULT_Q
     out: list[ClaimVerdict] = []
     for q in qs:
-        p, _ = prime_power(q)
-        if p == 2 or q > LEMMA7_MAX_Q:
+        if q > LEMMA7_MAX_Q or prime_power(q)[0] == 2:
             raise PreconditionError(f"lemma7 suite needs odd prime powers <= {LEMMA7_MAX_Q}, got {q}")
         S0 = s0_group(q)
         G = S0.perm_group("nonzero")
@@ -173,24 +172,11 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
 # table2
 
 
-def _elements_of_order(G: PermGroup, order: int) -> list[Perm]:
-    """Every element of G of the given order.  Order is constant on a
-    conjugacy class, so it is computed once per class, on the class's
-    least member, and only the members of matching classes are built."""
-    keyed = G.keyed()
-    return [
-        keyed.perm(i)
-        for cls in keyed.classes()
-        if keyed.perm(cls[0]).order() == order
-        for i in cls
-    ]
-
-
 def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     """Every element of M0 of the given order, adjoined to G0's
     generators, must act transitively on the underlying points; the scan
     is exhaustive and fails when no element has that order."""
-    candidates = _elements_of_order(M0, order_wanted)
+    candidates = M0.elements_of_order(order_wanted)
     if not candidates:
         return False
     base = tuple(G0.generators)

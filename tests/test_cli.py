@@ -109,6 +109,41 @@ def test_agl1_over_the_field_cap_is_exit_3_before_the_modulus_scan(capsys, monke
     assert "exceeds cap" in err
 
 
+HUGE_Q = str(10**18 + 3)
+
+
+def refuse_to_factor_beyond_the_cap(monkeypatch):
+    from gen32 import field
+
+    prime_factors = field.prime_factors
+
+    def guarded(n):
+        if n > 10**6:
+            raise AssertionError(f"trial division of {n} before any cap was checked")
+        return prime_factors(n)
+
+    monkeypatch.setattr(field, "prime_factors", guarded)
+
+
+@pytest.mark.parametrize("argv", [("analyze", "agl1"), ("analyze", "s0"), ("construct", "agl1")])
+def test_huge_q_is_exit_3_before_any_factoring(capsys, monkeypatch, argv):
+    refuse_to_factor_beyond_the_cap(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--q", HUGE_Q)
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "exceeds cap" in err
+
+
+def test_reproduce_lemma7_huge_q_keeps_the_suite_message(capsys, monkeypatch):
+    refuse_to_factor_beyond_the_cap(monkeypatch)
+    code, out, err = run_cli(capsys, "reproduce", "--suite", "lemma7", "--q", HUGE_Q)
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1
+    assert f"lemma7 suite needs odd prime powers <= 49, got {HUGE_Q}" in err
+
+
 def test_analyze_over_the_enumeration_cap_reports_an_indeterminate_d(capsys):
     code, out, _ = run_cli(capsys, "analyze", "agl1", "--q", "343")
     assert code == 0

@@ -36,7 +36,16 @@ def test_prime_factors():
 
 @pytest.mark.parametrize(
     "q,expected",
-    [(2, (2, 1)), (3, (3, 1)), (4, (2, 2)), (9, (3, 2)), (25, (5, 2)), (49, (7, 2)), (32, (2, 5))],
+    [
+        (2, (2, 1)),
+        (3, (3, 1)),
+        (4, (2, 2)),
+        (9, (3, 2)),
+        (25, (5, 2)),
+        (49, (7, 2)),
+        (32, (2, 5)),
+        (999983, (999983, 1)),
+    ],
 )
 def test_prime_power(q, expected):
     assert prime_power(q) == expected
@@ -45,6 +54,13 @@ def test_prime_power(q, expected):
 @pytest.mark.parametrize("q", [0, 1, 6, 12, 15, 100])
 def test_prime_power_rejects_non_prime_powers(q):
     with pytest.raises(PreconditionError):
+        prime_power(q)
+
+
+@pytest.mark.parametrize("q", [1000003, 2**31, 10**18 + 3])
+def test_prime_power_refuses_q_over_the_point_cap_before_factoring(monkeypatch, q):
+    monkeypatch.setattr("gen32.field.prime_factors", lambda n: pytest.fail("factored"))
+    with pytest.raises(PreconditionError, match="exceeds cap"):
         prime_power(q)
 
 

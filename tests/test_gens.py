@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -26,15 +27,16 @@ from gen32.gens import (
 )
 from gen32.matgroup import MatrixGroup, decode_vector, encode_vector
 from gen32.field import field_make
+from gen32 import permgroup
 from gen32.permgroup import (
     Perm,
     PermGroup,
     coset_action,
     derived_subgroup,
     normal_closure,
-    sylow_subgroup,
     symmetric_group,
 )
+from gen32.verify import _negative_corpus, _positive_corpus, _sl2_3
 
 
 def quaternion8():
@@ -707,17 +709,6 @@ def test_lower_bound_enumerates_nothing(monkeypatch):
     assert d_lower_bound_abelian(symmetric_group(9)) == 1
 
 
-def test_cyclic_sylow_test_enumerates_nothing(monkeypatch):
-    # every Sylow subgroup here is cyclic, so the quaternion clause never runs
-    for G in (z_group(7, 3, 2), cyclic_regular(12), agl1(13)):
-        sylows = {ell: sylow_subgroup(G, ell) for ell in prime_factors(G.order())}
-        with monkeypatch.context() as m:
-            m.setattr("gen32.gens.sylow_subgroup", lambda G, ell: sylows[ell])
-            m.setattr(PermGroup, "elements", lambda self: pytest.fail("elements enumerated"))
-            m.setattr(Perm, "order", lambda self: pytest.fail("element order computed"))
-            assert all_abelian_subgroups_cyclic(G)
-
-
 # ---------------------------------------------------------------------------
 # budget behavior: exhaustive, bound-meet, indeterminate
 
@@ -877,6 +868,90 @@ def test_all_abelian_subgroups_cyclic_negatives():
     assert not all_abelian_subgroups_cyclic(dihedral(4))
     assert not all_abelian_subgroups_cyclic(s0_group(5).perm_group("nonzero"))
     assert not all_abelian_subgroups_cyclic(elementary_8())
+
+
+def abelian_subgroups_cyclic_by_pairs(G):
+    """The definition, pair by pair: every commuting x, y generate a
+    cyclic group, that is, one whose order is the exponent lcm(|x|, |y|)."""
+    elements = G.elements()
+    return all(
+        PermGroup(G.degree, (x, y)).order() == lcm(x.order(), y.order())
+        for i, x in enumerate(elements)
+        for y in elements[i + 1 :]
+        if x * y == y * x
+    )
+
+
+def elementary_pp(p):
+    """C_p x C_p, as two disjoint p-cycles."""
+    cycles = (Perm.from_cycles(2 * p, [range(p)]), Perm.from_cycles(2 * p, [range(p, 2 * p)]))
+    return PermGroup(2 * p, cycles)
+
+
+def random_small_groups(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        degree = rng.randint(3, 7)
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(Perm(images))
+        G = PermGroup(degree, gens)
+        if G.order() <= 120:
+            out.append(G)
+    return out
+
+
+def test_all_abelian_subgroups_cyclic_matches_the_pairwise_definition():
+    named = [
+        (elementary_pp(2), False),
+        (elementary_pp(3), False),
+        (elementary_pp(5), False),
+        (quaternion8(), True),
+        (quaternion16(), True),
+        (_sl2_3(), True),
+        (sl2(5).perm_group("nonzero"), True),
+        (z_group(5, 4, 2), True),
+        (z_group(7, 3, 2), True),
+        (z_group(13, 4, 5), True),
+        (symmetric_group(4), False),
+        (dihedral(4), False),
+        (dihedral(6), False),
+        (dihedral(5), True),
+        (cyclic_regular(12), True),
+    ]
+    for G, expected in named:
+        assert abelian_subgroups_cyclic_by_pairs(G) == expected
+        assert all_abelian_subgroups_cyclic(G) == expected
+    verdicts = []
+    for G in random_small_groups(2024, 40):
+        verdicts.append(abelian_subgroups_cyclic_by_pairs(G))
+        assert all_abelian_subgroups_cyclic(G) == verdicts[-1]
+    assert True in verdicts and False in verdicts
+
+
+def test_predicate_builds_one_chain_per_genlemmas_group(monkeypatch):
+    corpus = _positive_corpus() + _negative_corpus()
+    assert len(corpus) == 13
+    build_chain = permgroup.build_chain
+    calls = []
+
+    def counting_build_chain(*args, **kwargs):
+        calls.append(args[0])
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "build_chain", counting_build_chain)
+    for name, G in corpus:
+        calls.clear()
+        all_abelian_subgroups_cyclic(G)
+        assert len(calls) == 1, name
+
+
+def test_predicate_above_the_enumeration_cap_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="enumeration cap"):
+        all_abelian_subgroups_cyclic(agl1(343))
 
 
 def test_cyclic_abelian_predicate_implies_d_le_2():

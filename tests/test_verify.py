@@ -8,7 +8,6 @@ from gen32.permgroup import Perm, PermGroup
 from gen32.verify import (
     TABLE2_EXPECTED,
     ClaimVerdict,
-    _elements_of_order,
     _order8_type,
     run_suite,
     verify_corollary3,
@@ -124,7 +123,7 @@ def test_witness_candidates_match_the_elementwise_filter_on_table2():
     for i in (1, 2):
         M0 = table2_matrix_group(i).perm_group("nonzero")
         r1 = TABLE2_EXPECTED[i]["r1"]
-        got = sorted(g.images for g in _elements_of_order(M0, r1))
+        got = sorted(g.images for g in M0.elements_of_order(r1))
         assert got and got == elements_of_order_by_filter(M0, r1)
 
 
@@ -141,5 +140,5 @@ def test_elements_of_order_match_the_elementwise_filter_on_random_groups(seed):
         G = PermGroup(degree, gens)
         orders = [(g.order(), g.images) for g in G.elements()]
         for order in sorted({o for o, _ in orders}) + [degree + 5]:
-            got = sorted(g.images for g in _elements_of_order(G, order))
+            got = sorted(g.images for g in G.elements_of_order(order))
             assert got == sorted(images for o, images in orders if o == order)
