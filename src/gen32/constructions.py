@@ -149,20 +149,23 @@ class _AffineGroup(PermGroup):
     stabilizer chain is therefore assembled, on first use, from a level
     for the orbit of 0 under G's generators (all of V when G is
     transitive, and then |G| = q^dim * |H|) on top of a chain of H alone
-    (``chain_from_stabilizer``), with no Schreier-Sims run over G.
+    (``chain_from_stabilizer``), with no Schreier-Sims run over G.  An
+    additive permutation fixing the F_p-basis codes p^k fixes every code,
+    so they are a known base of H.
     """
 
-    __slots__ = ("_linear",)
+    __slots__ = ("_linear", "_linear_base")
 
     def __init__(self, field: FieldSpec, dim: int, linear: tuple[Perm, ...]):
         super().__init__(field.q**dim, tuple(translation_perms(field, dim)) + linear)
         for g in linear:
             _check_additive(field.p, g)
         self._linear = linear
+        self._linear_base = tuple(field.p**k for k in range(field.m * dim))
 
     def chain(self) -> StabChain:
         if self._chain is None:
-            stabilizer = build_chain(self.degree, self._linear)
+            stabilizer = build_chain(self.degree, self._linear, (), self._linear_base)
             self._chain = chain_from_stabilizer(self.degree, self.generators, 0, stabilizer)
         return self._chain
 
@@ -311,7 +314,8 @@ def z_group(m: int, n: int, r: int) -> PermGroup:
 
     Points code the normal forms a^i b^j as i + m*j; right
     multiplication by a sends (i, j) to (i + r^j mod m, j) and by b
-    sends (i, j) to (i, j + 1 mod n).  The constraints gcd(m, n) = 1,
+    sends (i, j) to (i, j + 1 mod n).  The action is regular, so the
+    point 0 is a base.  The constraints gcd(m, n) = 1,
     gcd(r - 1, m) = 1 and r^n = 1 mod m make every subgroup of prime
     power order cyclic, so every abelian subgroup is cyclic too.
     """
@@ -324,7 +328,7 @@ def z_group(m: int, n: int, r: int) -> PermGroup:
         for i in range(m):
             a_images[i + m * j] = (i + rj) % m + m * j
             b_images[i + m * j] = i + m * ((j + 1) % n)
-    return PermGroup(total, (Perm(a_images), Perm(b_images)))
+    return PermGroup._with_base(total, (Perm(a_images), Perm(b_images)), (0,))
 
 
 def z_group_kernel_action(m: int, n: int, r: int) -> PermGroup:
@@ -342,9 +346,10 @@ def z_group_kernel_action(m: int, n: int, r: int) -> PermGroup:
 
 def agl1(q: int) -> PermGroup:
     """AGL(1, q) = {x -> ax + b} on the q field-element codes, generated
-    by x -> x + 1 and x -> wx for the canonical primitive element w."""
+    by x -> x + 1 and x -> wx for the canonical primitive element w.
+    Only the identity fixes 0 and 1, so they are a base."""
     ops = field_make(*prime_power(q)).ops
     t = Perm([ops.add(c, 1) for c in range(q)])
     w0 = ops.primitive
     s = Perm([ops.mul(c, w0) for c in range(q)])
-    return PermGroup(q, (t, s))
+    return PermGroup._with_base(q, (t, s), (0, 1))

@@ -29,7 +29,6 @@ randomized factoring or primality testing anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Sequence
@@ -339,17 +338,45 @@ CodeOps = PrimeCodes | LogTableCodes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _Frozen:
+    """A value whose fields are set once, by ``__init__``: assigning or
+    deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(_Frozen):
     """A finite field GF(p^m) with its canonical modulus.
 
     ``modulus`` is the full coefficient tuple (length m + 1, low degree
     first, leading coefficient 1); it is None exactly when m = 1.
+    Immutable; equal and hashed by (p, m, modulus).  Its ``__dict__``
+    holds only ``ops``, once set up.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...] | None
+    __slots__ = ("p", "m", "modulus", "__dict__")
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self) -> tuple:
+        return FieldSpec, (self.p, self.m, self.modulus)
 
     @property
     def q(self) -> int:
@@ -410,12 +437,26 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec; immutable and hashable."""
+class FieldElement(_Frozen):
+    """An element of a FieldSpec; immutable and hashable, equal by
+    (field, coeffs)."""
 
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
+
+    def __reduce__(self) -> tuple:
+        return FieldElement, (self.field, self.coeffs)
 
     @property
     def code(self) -> int:

@@ -233,7 +233,10 @@ class MatrixGroup:
     All group-theoretic questions are delegated to the faithful
     permutation image on nonzero vectors (a linear map fixing every
     nonzero vector is the identity), so the order of the matrix group is
-    by definition the order of that permutation group.
+    by definition the order of that permutation group.  A linear map
+    fixing the standard basis vectors is the identity, so their points,
+    the codes q^i (q^i - 1 on nonzero vectors), are a base of either
+    permutation group.
     """
 
     __slots__ = ("field", "dim", "generators", "_perm_groups")
@@ -252,9 +255,11 @@ class MatrixGroup:
     def perm_group(self, action: str = "nonzero") -> PermGroup:
         if action not in self._perm_groups:
             q = self.field.q
-            degree = q**self.dim - (0 if action == "all" else 1)
-            self._perm_groups[action] = PermGroup(
-                degree, tuple(perm_from_matrix(M, action) for M in self.generators)
+            shift = 0 if action == "all" else 1
+            self._perm_groups[action] = PermGroup._with_base(
+                q**self.dim - shift,
+                tuple(perm_from_matrix(M, action) for M in self.generators),
+                tuple(q**i - shift for i in range(self.dim)),
             )
         return self._perm_groups[action]
 

@@ -26,6 +26,18 @@ Elements are sifted through a chain on their base images alone, and a
 sifted element is compared with the product of the transversal elements
 divided off, so membership tests and the chain's verification build no
 product per sifted level and no inverse of a transversal element.
+
+A group whose structure fixes a base is given that base when it is made:
+a known base B of G is a sequence of points that only the identity of G
+fixes, so two elements of G are equal exactly when they agree on B.
+Matrix groups know the codes of the standard basis vectors, affine
+groups the codes of an F_p-basis, AGL(1, q) the points 0 and 1, a
+regular action any one point, and a subgroup of G (``subgroup``) G's
+chain base.  The chain's verification then compares two elements of G on
+B alone, |B| lookups instead of a degree-n composition, and builds a
+degree-n product only for a residue that becomes a strong generator.
+With no base known, B is every point.  The decision is exact either way,
+so the chain does not depend on B.
 Element enumeration, when a task genuinely needs it, is a breadth-first
 closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
@@ -37,8 +49,13 @@ compose without a degree-n product: key(x * g) = g.images_of(key(x)).
 Element enumeration, conjugacy classes, coset labels and the d search
 all run on one keyed enumeration of the group (``KeyedElements``).  It
 builds no degree-n product: a ``Perm`` is built, from the chain's
-transversals, only for an element a caller asks for.  Conjugacy needs
-each element's images of the points S = base + {g^-1[b] : g a
+transversals, only for an element a caller asks for.  Keys are gathered
+a layer at a time: the keys of a whole breadth-first layer, laid end to
+end, are mapped by a generator in one gather, and so are the keys of a
+subgroup by a coset representative; conjugation acts on element numbers
+through one integer map per generator, gathered column by column.
+
+Conjugacy needs each element's images of the points S = base + {g^-1[b] : g a
 generator, b a base point}, since key(g^-1 x g)[i] = g[x[g^-1[b_i]]].
 They follow from the enumeration's tree, as S is closed under right
 multiplication by a generator: (x * g)[p] = g[x[p]].
@@ -62,11 +79,10 @@ class by the prime-power-order cyclic subgroups reaches every class.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .field import prime_factors
@@ -80,6 +96,16 @@ def _take(images: Sequence[int], points: Sequence[int]) -> tuple[int, ...]:
     if len(points) > 1:
         return itemgetter(*points)(images)
     return tuple(images[x] for x in points)
+
+
+def _gather(
+    images: Sequence[int], flat: Sequence[int], width: int, count: int
+) -> list[tuple[int, ...]]:
+    """The images of ``count`` keys of ``width`` points each, laid end to
+    end in ``flat``: one gather for all of them, split into keys."""
+    if not width:
+        return [()] * count
+    return list(zip(*[iter(_take(images, flat))] * width))
 
 
 class Perm:
@@ -264,7 +290,15 @@ class StabChain:
             images = [u.images.index(y) for y in images]
         return divisors, len(levels)
 
+    def element(self, key: Sequence[int]) -> Perm:
+        """The element of the chain's group with the given images of the
+        base points: x = u_k * ... * u_1 for the transversal elements
+        u_1 .. u_k that sifting the key divides off."""
+        divisors, _ = self.sift(list(key))
+        return Perm._raw(_compose(divisors[::-1] or [tuple(range(self.degree))]))
+
     def contains(self, g: Perm) -> bool:
+        # g may lie outside the group, so it is compared at every point
         if g.degree != self.degree:
             return False
         divisors, depth = self.sift(list(g.images_of(self.base)))
@@ -303,7 +337,12 @@ def _close(level: _Level, identity: Perm) -> set[tuple[int, int]]:
     return tree
 
 
-def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[int] = ()) -> StabChain:
+def build_chain(
+    degree: int,
+    generators: Sequence[Perm],
+    initial_base: Sequence[int] = (),
+    known_base: Sequence[int] | None = None,
+) -> StabChain:
     """Deterministic incremental Schreier-Sims.
 
     ``initial_base`` forces the first base points (used to read off point
@@ -322,9 +361,12 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
     up only where u_gamma * s and u_delta disagree) and sifted through the
     later levels on base images alone.  If that divides off u_1 .. u_k,
     h sifts to the identity exactly when
-    u_gamma * s == u_k * ... * u_1 * u_delta: two compositions of image
-    tuples and no inverse.  Only a residue that becomes a new strong
-    generator is built as a permutation.
+    u_gamma * s == u_k * ... * u_1 * u_delta.  Both sides are elements of
+    the group, so they are equal exactly when they agree on a base B of
+    it: ``known_base`` when given, which must be a base of the group the
+    generators generate, else every point.  Only their images of B are
+    composed, and only a residue that becomes a new strong generator is
+    built at full degree.
     """
     identity = Perm.identity(degree)
     gens = [g for g in generators if not g.is_identity()]
@@ -346,6 +388,10 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
 
     def add_level_for(g: Perm) -> None:
         levels.append(_Level(g.min_moved()))
+
+    def on_base(images: tuple[int, ...]) -> tuple[int, ...]:
+        """An element's images of B."""
+        return images if known_base is None else _take(images, known_base)
 
     for g in gens:
         if base_prefix_fixed(g, len(levels)):
@@ -373,6 +419,7 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
         modified_at = None
         for gamma in level.orbit:
             u_gamma = level.transversal[gamma].images
+            u_gamma_on_base = on_base(u_gamma)
             for e, s in enumerate(level.gens):
                 if (gamma, e) in tree:
                     continue
@@ -384,11 +431,12 @@ def build_chain(degree: int, generators: Sequence[Perm], initial_base: Sequence[
                     y = s_images[u_gamma[b]]
                     images.append(b if y == u_delta[b] else u_delta.index(y))
                 divisors, j = chain.sift(images, i + 1)
-                product = _compose([u_gamma, s_images])
-                quotient = _compose([*reversed(divisors), u_delta])
-                if product == quotient:
+                quotient = [*reversed(divisors), u_delta]
+                on_b = _compose([on_base(quotient[0]), *quotient[1:]])
+                if _take(s_images, u_gamma_on_base) == on_b:
                     continue
-                residue = Perm._raw(_compose([product, Perm._raw(quotient).inv().images]))
+                product = _compose([u_gamma, s_images])
+                residue = Perm._raw(_compose([product, Perm._raw(_compose(quotient)).inv().images]))
                 if j == len(levels):
                     add_level_for(residue)
                 for l in range(i + 1, j + 1):
@@ -425,26 +473,6 @@ def chain_from_stabilizer(
     return StabChain(degree, [level, *stabilizer.levels])
 
 
-def _lex_least_chain(group: PermGroup) -> StabChain:
-    """The group's chain when its base is lex-least, else a chain built
-    with the lex-least base forced.
-
-    A level's strong generators generate the stabilizer of the earlier
-    base points, so its base point is the least point that stabilizer
-    moves exactly when it is the least point any of them moves.  Each
-    rebuild forces one more lex-least base point.
-    """
-    chain = group.chain()
-    while True:
-        for i, level in enumerate(chain.levels):
-            least = min(g.min_moved() for g in level.gens)
-            if least != level.point:
-                break
-        else:
-            return chain
-        chain = build_chain(group.degree, group.generators, chain.base[:i] + (least,))
-
-
 class KeyedElements:
     """Every element of a group, enumerated on base-image keys.
 
@@ -463,6 +491,7 @@ class KeyedElements:
         "_gens",
         "_parent",
         "_via",
+        "_layers",
         "_perms",
         "_by_key",
         "_classes",
@@ -470,47 +499,52 @@ class KeyedElements:
     )
 
     def __init__(self, group: PermGroup):
-        self.chain = _lex_least_chain(group)
+        self.chain = group.lex_least_chain()
         base = self.chain.base
+        width = len(base)
         gens = [g.images for g in group.generators if not g.is_identity()]
         keys = [base]
         seen = {base}
         parent = array("l", [0])
         via = array("l", [0])
-        layer = range(1)
-        while layer:
-            found = []
-            for i in layer:
-                key = keys[i]
-                for e, g in enumerate(gens):
-                    y = _take(g, key)
-                    if y not in seen:
-                        seen.add(y)
-                        found.append((y, i, e))
-            found.sort()
-            layer = range(len(keys), len(keys) + len(found))
-            for y, i, e in found:
-                keys.append(y)
-                parent.append(i)
-                via.append(e)
+        ngens = len(gens)
+        layers = [0]
+        start = 0
+        while start < len(keys):
+            end = len(keys)
+            flat = list(chain.from_iterable(keys[start:end]))
+            # the keys the layer reaches, parent by parent and generator
+            # by generator, from one gather per generator
+            moved = [_gather(g, flat, width, end - start) for g in gens]
+            reached = list(chain.from_iterable(zip(*moved)))
+            # each key at the position of its first arrival, from the least
+            # parent and then generator: of repeated keys a dict keeps the
+            # last, so it is built backwards
+            first = dict(zip(reversed(reached), range(len(reached) - 1, -1, -1)))
+            found = sorted(first.keys() - seen)
+            at = list(map(first.__getitem__, found))
+            seen.update(found)
+            keys.extend(found)
+            parent.extend(start + a // ngens for a in at)
+            via.extend(a % ngens for a in at)
+            layers.append(end)
+            start = end
         self.base = base
         self.keys = keys
         self._gens = gens
         self._parent = parent
         self._via = via
+        self._layers = layers
         self._perms: list[Perm | None] = [None] * len(keys)
         self._by_key: array | None = None
         self._classes: list[list[int]] | None = None
         self._orders: list[int] | None = None
 
     def perm(self, i: int) -> Perm:
-        """The i-th element, x = u_k * ... * u_1 for the transversal
-        elements u_1 .. u_k that sifting its key divides off."""
+        """The i-th element, built from its key (``StabChain.element``)."""
         p = self._perms[i]
         if p is None:
-            divisors, _ = self.chain.sift(list(self.keys[i]))
-            p = Perm._raw(_compose(divisors[::-1] or [tuple(range(self.chain.degree))]))
-            self._perms[i] = p
+            p = self._perms[i] = self.chain.element(self.keys[i])
         return p
 
     def perms(self) -> list[Perm]:
@@ -532,8 +566,9 @@ class KeyedElements:
 
         A conjugate g^-1 x g is found by its key, g[x[g^-1[b_i]]].  So
         each element's images of S (see the module docstring) are read
-        off its parent's, (x * g)[p] = g[x[p]], and the images of the
-        points g^-1[b_i] are picked out of them.
+        off its parent's, (x * g)[p] = g[x[p]], a breadth-first layer at
+        a time, and the images of the points g^-1[b_i] are picked out of
+        them.
         """
         if self._classes is None:
             keys, gens, parent, via = self.keys, self._gens, self._parent, self._via
@@ -541,28 +576,43 @@ class KeyedElements:
             points = list(self.base)
             for g in gens:
                 points.extend(p for p in map(g.index, self.base) if p not in points)
+            width = len(points)
             images = [tuple(points)]
-            for j in range(1, len(keys)):
-                images.append(_take(gens[via[j]], images[parent[j]]))
-            # per generator g: the positions in S of the points g^-1[b_i], and g
-            conjugators = [(tuple(points.index(g.index(b)) for b in self.base), g) for g in gens]
-            assigned = [False] * len(keys)
-            classes = []
+            bounds = self._layers
+            # the parents of layer [mid, hi) are in layer [lo, mid)
+            for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
+                flat = list(chain.from_iterable(images[lo:mid]))
+                moved = [_gather(g, flat, width, mid - lo) for g in gens]
+                images.extend([moved[via[j]][parent[j] - lo] for j in range(mid, hi)])
+            # columns[p]: every element's image of the p-th point of S
+            columns = list(zip(*images))
+            # per generator g, the number of each element's conjugate
+            # g^-1 x g, from the columns of the points g^-1[b_i]
+            conjugate = [
+                list(map(index.__getitem__, zip(*(
+                    _take(g, columns[points.index(g.index(b))]) for b in self.base
+                ))))
+                for g in gens
+            ]
+            # number the classes by their least members, then list each
+            # class's members in key order
+            label = [-1] * len(keys)
+            count = 0
             for i in self.by_key():
-                if assigned[i]:
+                if label[i] >= 0:
                     continue
-                members = {i}
-                queue = [i]
-                while queue:
-                    at = images[queue.pop()]
-                    for pre, g in conjugators:
-                        j = index[_take(g, _take(at, pre))]
-                        if j not in members:
-                            members.add(j)
-                            queue.append(j)
-                for j in members:
-                    assigned[j] = True
-                classes.append(sorted(members, key=keys.__getitem__))
+                label[i] = count
+                members = [i]
+                for x in members:
+                    for c in conjugate:
+                        j = c[x]
+                        if label[j] < 0:
+                            label[j] = count
+                            members.append(j)
+                count += 1
+            classes: list[list[int]] = [[] for _ in range(count)]
+            for i in self.by_key():
+                classes[label[i]].append(i)
             self._classes = classes
         return self._classes
 
@@ -604,7 +654,9 @@ class PermGroup:
     __slots__ = (
         "degree",
         "generators",
+        "_base",
         "_chain",
+        "_lex_chain",
         "_stabs",
         "_keyed",
         "_orbits",
@@ -622,17 +674,56 @@ class PermGroup:
                 raise PreconditionError(
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
+        self._base: tuple[int, ...] | None = None
         self._chain: StabChain | None = None
+        self._lex_chain: StabChain | None = None
         self._stabs: dict[int, PermGroup] = {}
         self._keyed: KeyedElements | None = None
         self._orbits: list[list[int]] | None = None
+
+    @classmethod
+    def _with_base(cls, degree: int, generators: Iterable[Perm], base: Sequence[int]) -> PermGroup:
+        """The group with a known base: points that only its identity
+        fixes, which its chain's verification compares elements on."""
+        group = cls(degree, generators)
+        group._base = tuple(base)
+        return group
+
+    def subgroup(self, perms: Iterable[Perm]) -> PermGroup:
+        """The subgroup generated by some elements of this group, which the
+        caller vouches for; this group's chain base is a base of it."""
+        return PermGroup._with_base(self.degree, perms, self.chain().base)
 
     # -- structure ---------------------------------------------------------
 
     def chain(self) -> StabChain:
         if self._chain is None:
-            self._chain = build_chain(self.degree, self.generators)
+            self._chain = build_chain(self.degree, self.generators, (), self._base)
         return self._chain
+
+    def lex_least_chain(self) -> StabChain:
+        """A chain whose base is lex-least (see ``KeyedElements``): the
+        group's own chain when its base is lex-least, else a chain built
+        with the lex-least base forced.
+
+        A level's strong generators generate the stabilizer of the earlier
+        base points, so its base point is the least point that stabilizer
+        moves exactly when it is the least point any of them moves.  Each
+        rebuild forces one more lex-least base point.
+        """
+        if self._lex_chain is None:
+            chain = self.chain()
+            while True:
+                for i, level in enumerate(chain.levels):
+                    least = min(g.min_moved() for g in level.gens)
+                    if least != level.point:
+                        break
+                else:
+                    break
+                forced = chain.base[:i] + (least,)
+                chain = build_chain(self.degree, self.generators, forced, chain.base)
+            self._lex_chain = chain
+        return self._lex_chain
 
     def order(self) -> int:
         return self.chain().order()
@@ -648,6 +739,49 @@ class PermGroup:
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
+
+    def on_base_orbits(self) -> tuple[PermGroup, list[int]]:
+        """The group's action on the union Omega of the orbits of its
+        lex-least base points, relabelled in increasing order, and Omega
+        as a sorted list; the group itself when Omega is every point.
+
+        Omega contains a base, so the action is faithful.  The relabelling
+        keeps the order of points, so the lex-least chain, restricted to
+        Omega and relabelled, is a lex-least chain of the action, which is
+        given it and needs no Schreier-Sims run: keys keep their order,
+        and the keyed enumeration and its classes number the elements as
+        on the group itself.
+        """
+        chain = self.lex_least_chain()
+        omega: set[int] = set()
+        for b in chain.base:
+            if b not in omega:
+                omega.update(self.orbit(b))
+        points = sorted(omega)
+        if len(points) == self.degree or not points:
+            return self, points
+        label = [0] * self.degree
+        for i, x in enumerate(points):
+            label[x] = i
+        restricted: dict[int, Perm] = {}
+
+        def restrict(g: Perm) -> Perm:
+            if id(g) not in restricted:
+                restricted[id(g)] = Perm._raw(_take(label, _take(g.images, points)))
+            return restricted[id(g)]
+
+        levels = []
+        for level in chain.levels:
+            lv = _Level(label[level.point])
+            lv.gens = [restrict(g) for g in level.gens]
+            lv.orbit = [label[x] for x in level.orbit]
+            lv.transversal = {label[x]: restrict(u) for x, u in level.transversal.items()}
+            levels.append(lv)
+        action = PermGroup._with_base(
+            len(points), [restrict(g) for g in self.generators], _take(label, chain.base)
+        )
+        action._chain = StabChain(len(points), levels)
+        return action, points
 
     def keyed(self) -> KeyedElements:
         """The group's keyed enumeration; capped at 10^5 elements."""
@@ -706,12 +840,12 @@ class PermGroup:
         if alpha not in self._stabs:
             chain = self.chain()
             if chain.base[:1] != (alpha,):
-                chain = build_chain(self.degree, self.generators, (alpha,))
+                chain = build_chain(self.degree, self.generators, (alpha,), chain.base)
             if len(chain.levels) <= 1:
                 gens: tuple[Perm, ...] = ()
             else:
                 gens = tuple(chain.levels[1].gens)
-            self._stabs[alpha] = PermGroup(self.degree, gens)
+            self._stabs[alpha] = self.subgroup(gens)
         return self._stabs[alpha]
 
     # -- conjugacy ---------------------------------------------------------
@@ -777,7 +911,7 @@ def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
         if s not in G:
             raise PreconditionError("seed elements must lie in the group")
     gens: list[Perm] = [s for s in seeds if not s.is_identity()]
-    closure = PermGroup(G.degree, tuple(gens))
+    closure = G.subgroup(gens)
     queue = list(gens)
     while queue:
         x = queue.pop(0)
@@ -785,7 +919,7 @@ def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
             y = x.conj(g)
             if y not in closure:
                 gens.append(y)
-                closure = PermGroup(G.degree, tuple(gens))
+                closure = G.subgroup(gens)
                 queue.append(y)
     return closure
 
@@ -804,8 +938,7 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return normal_closure(G, seeds)
 
 
-@dataclass(frozen=True)
-class CosetAction:
+class CosetAction(NamedTuple):
     """The action of a group on the right cosets of a normal subgroup.
 
     ``group`` is the quotient as a permutation group on coset indices;
@@ -813,7 +946,7 @@ class CosetAction:
     ``labels`` maps the key of every group element, its images of
     ``G.keyed().base``, to its coset index.  ``coset_of`` maps the
     elements themselves, n * e for n in the subgroup and e in ``reps``,
-    and is built on first use.  Coset 0 is always the subgroup itself
+    and is built on each use.  Coset 0 is always the subgroup itself
     (the identity is the least element of all).
     """
 
@@ -822,7 +955,7 @@ class CosetAction:
     labels: dict[tuple[int, ...], int]
     subgroup: PermGroup
 
-    @cached_property
+    @property
     def coset_of(self) -> dict[Perm, int]:
         elems = self.subgroup.elements()
         return {n * e: idx for idx, e in enumerate(self.reps) for n in elems}
@@ -835,8 +968,9 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
     the quotient generators are the actions of G's generators by right
     multiplication.  The coset N e is labelled on keys: the keys of N's
     elements are a key closure, key(n * e) = e.images_of(key(n)), and only
-    the representatives e are built.  G is enumerated, so |G| is capped
-    like ``keyed()``.
+    the representatives e are built, each applied to all of them in one
+    gather.  G is enumerated, so |G| is capped like ``keyed()``.  The
+    quotient acts regularly on the cosets, so it is given the base (0,).
     """
     if not normal_in(N, G):
         raise PreconditionError("can only form the quotient by a normal subgroup")
@@ -844,18 +978,19 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
     keyed = G.keyed()
     keys = keyed.keys
     n_keys = keyed.closure(N.generators)
+    flat = list(chain.from_iterable(n_keys))
+    width = len(keyed.base)
     labels: dict[tuple[int, ...], int] = {}
     reps: list[int] = []
     for i in keyed.by_key():
         if keys[i] in labels:
             continue
-        e = keyed.perm(i).images
-        for key in n_keys:
-            labels[_take(e, key)] = len(reps)
+        coset = _gather(keyed.perm(i).images, flat, width, len(n_keys))
+        labels.update(dict.fromkeys(coset, len(reps)))
         reps.append(i)
     images = [Perm(tuple(labels[g.images_of(keys[i])] for i in reps)) for g in G.generators]
     return CosetAction(
-        group=PermGroup(index, tuple(images)),
+        group=PermGroup._with_base(index, images, (0,)),
         reps=tuple(keyed.perm(i) for i in reps),
         labels=labels,
         subgroup=N,
@@ -954,8 +1089,7 @@ class ElementTable:
         return frozenset(self.mul(self.mul(gi, x), g) for x in ids)
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups: a canonical representative and
     the number of conjugates."""
 
@@ -1018,7 +1152,7 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[SubgroupClass]:
                 add_class(bigger, gens + (x,))
     out = []
     for key, gens, size in sorted(classes, key=lambda c: (len(c[0]), c[0])):
-        rep = PermGroup(G.degree, tuple(table.elements[i] for i in gens))
+        rep = G.subgroup(table.elements[i] for i in gens)
         out.append(SubgroupClass(representative=rep, order=len(key), class_size=size))
     return out
 

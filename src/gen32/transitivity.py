@@ -25,14 +25,13 @@ H-orbit (rank - 1 sweeps, from each orbit's least point) decides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .permgroup import ELEMENT_LIMIT, PermGroup
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """Joint answer of all transitivity-type predicates for one group.
 
     ``rank`` and ``primitive`` are None when the group is intransitive

@@ -30,8 +30,7 @@ identical verdict lists (timing aside).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .constructions import (
     affine_group,
@@ -77,8 +76,7 @@ TABLE2_EXPECTED = {
 TWISTED_PRIMES = (5, 7, 11, 13, 29)
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
+class ClaimVerdict(NamedTuple):
     """One checked claim: its id, the expected and computed values,
     whether they agree, and how long the computation took."""
 
@@ -157,7 +155,7 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
         S0 = s0_group(q)
         G = S0.perm_group("nonzero")
         w_perm = G.generators[2]
-        K = PermGroup(G.degree, (w_perm * w_perm,))
+        K = G.subgroup((w_perm * w_perm,))
         Q = coset_action(G, K).group
         cid = f"lemma7.q{q}"
         expected_d = 3 if q % 4 == 1 else 2

@@ -475,6 +475,43 @@ def test_console_entry_point_installed():
     assert json.loads(proc.stdout)["all_pass"] is True
 
 
+def test_the_cyclic_collector_is_paused_only_while_a_command_runs(monkeypatch, capsys):
+    import gc
+
+    import gen32.cli as cli
+
+    seen = []
+    real = cli.cmd_analyze
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_analyze", recording)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["analyze", "agl1", "--q", "5"]) == 0
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+    assert seen == [False, False]
+    assert main(["analyze", "agl1", "--q", "6"]) == 3 and gc.isenabled()
+    capsys.readouterr()
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # loading them cost a CLI process about 20 ms before any work
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gen32.cli; print(sorted(m for m in sys.modules"
+         " if m in ('dataclasses', 'inspect')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # only reproduce --jobs above 1 needs it; every other run would pay
     # for loading it

@@ -252,3 +252,24 @@ def test_field_make_refuses_fields_over_the_point_cap_first(monkeypatch, p, m):
 
 def test_field_make_accepts_a_prime_field_at_the_point_cap():
     assert field_make(999983).q == 999983  # the largest prime below 10^6
+
+
+def test_fields_and_elements_are_immutable_values():
+    import pickle
+
+    f = gf(9)
+    copy = FieldSpec(f.p, f.m, f.modulus)
+    assert copy == f and hash(copy) == hash(f) and copy is not f
+    assert FieldSpec(3, 1, None) != FieldSpec(5, 1, None)
+    assert f != (3, 2, f.modulus)
+    x, y = f.element(5), copy.element(5)
+    assert x == y and hash(x) == hash(y) and x != f.element(4)
+    assert len({x, y, f.element(4)}) == 2
+    assert repr(f) == "GF(9)" and repr(x) == "5@GF(9)"
+    for obj, name in ((f, "p"), (x, "coeffs"), (x, "field")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert pickle.loads(pickle.dumps(f)) == f

@@ -17,6 +17,7 @@ from gen32.constructions import (
 from gen32.errors import IndeterminateError, PreconditionError
 from gen32.field import prime_factors
 from gen32.gens import (
+    DEFAULT_BUDGET,
     _AbelianFilter,
     _Search,
     all_abelian_subgroups_cyclic,
@@ -350,6 +351,84 @@ def test_witnesses_match_reference_without_a_lex_least_base():
     # the reference takes seconds on H2 (d = 4); its answer, once computed,
     # is H2's generators, the first four elements after the identity
     assert d_exact(H2).witness.elements == tuple(elements_by_products(H2)[1:5])
+
+
+def doubled_intransitive_group(seed):
+    """A random small group acting twice over, on 2n shuffled points, with
+    fixed points: its lex-least base lies in some of its orbits only."""
+    rng = random.Random(seed)
+    H = random_small_group(seed)
+    n = H.degree
+    extra = rng.randint(0, 2)
+    relabel = list(range(2 * n + extra))
+    rng.shuffle(relabel)
+    gens = []
+    for g in H.generators:
+        images = list(range(2 * n + extra))
+        for x in range(n):
+            images[relabel[x]] = relabel[g[x]]
+            images[relabel[n + x]] = relabel[n + g[x]]
+        for x in range(2 * n, 2 * n + extra):
+            images[relabel[x]] = relabel[x]
+        gens.append(Perm(images))
+    return PermGroup(2 * n + extra, gens)
+
+
+def d_outcome(G, budget):
+    try:
+        res = d_exact(G, budget)
+    except IndeterminateError as exc:
+        return ("indeterminate", str(exc))
+    return (res.value, res.method, [g.images for g in res.witness.elements])
+
+
+def test_d_on_the_base_orbits_matches_the_full_degree_search(monkeypatch):
+    groups = [doubled_intransitive_group(s) for s in range(120)]
+    groups = [G for G in groups if G.order() <= 720]
+    restricted = [G for G in groups if G.on_base_orbits()[0] is not G]
+    assert len(restricted) >= 40
+    assert sum(not has_lex_least_base(G) for G in restricted) >= 10
+    budgets = (3, 10, 50, DEFAULT_BUDGET)
+    got = [[d_outcome(G, b) for b in budgets] for G in restricted]
+    # the same search on every point: the action on the base orbits is G
+    monkeypatch.setattr(PermGroup, "on_base_orbits", lambda G: (G, list(range(G.degree))))
+    fresh = [PermGroup(G.degree, G.generators) for G in restricted]
+    want = [[d_outcome(G, b) for b in budgets] for G in fresh]
+    assert got == want
+    outcomes = {o[0] for row in got for o in row}
+    assert "indeterminate" in outcomes and outcomes - {"indeterminate"}
+
+
+def test_d_of_s0_49_runs_on_96_points():
+    G = s0_group(49).perm_group("all")
+    action, points = G.on_base_orbits()
+    assert (G.degree, action.degree, len(points)) == (2401, 96, 96)
+    res = d_exact(G)
+    assert len(res.witness.elements) == res.value == 3
+    assert all(g.degree == 2401 for g in res.witness.elements)
+    assert generates(G, res.witness.elements)
+
+
+def test_d_search_leaves_no_cyclic_garbage():
+    """The CLI pauses the cyclic collector while a command runs: the d
+    search, on the base orbits and through the abelian filter, must leave
+    everything to reference counting."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        results = [
+            d_exact(s0_group(9).perm_group("all")),
+            d_exact(agl1(13)),
+            d_affine(table1_matrix_group(1)),
+        ]
+        with pytest.raises(IndeterminateError):
+            d_exact(agl1(16), 7)
+        del results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_builds_few_elements():

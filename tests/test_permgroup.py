@@ -7,11 +7,13 @@ import pytest
 
 from gen32.constructions import (
     agl1,
+    s0_group,
     sl2,
     table1_group,
     table1_matrix_group,
     table2_group,
     table2_matrix_group,
+    z_group,
 )
 from gen32.errors import PreconditionError
 from gen32.permgroup import (
@@ -393,6 +395,225 @@ def test_chain_matches_strip_reference_on_bundled_groups(make):
         assert_chain_matches_reference(G, initial_base)
 
 
+def assert_known_base_chain_matches_reference(degree, generators, known_base, initial_base=()):
+    chain = build_chain(degree, generators, initial_base, known_base)
+    levels, _ = chain_by_strip(degree, generators, initial_base)
+    assert chain_levels(chain) == levels
+    assert [list(lv.transversal.items()) for lv in chain.levels] == [
+        list(t.items()) for *_, t in levels
+    ]
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 100))
+def test_known_base_chain_matches_strip_reference_on_random_groups(seed):
+    # the known base is the base of a chain with a random forced prefix,
+    # so it is often neither lex-least nor the base the chain picks
+    for s in range(seed, seed + 100):
+        G = random_group(s)
+        rng = random.Random(s)
+        forced = tuple(rng.sample(range(G.degree), rng.randint(1, min(3, G.degree))))
+        known = build_chain(G.degree, G.generators, forced).base
+        for initial_base in ((), forced):
+            assert_known_base_chain_matches_reference(G.degree, G.generators, known, initial_base)
+
+
+def affine_linear_parts():
+    return [table1_group(i) for i in (1, 2, 3, 4)] + [table2_group(i) for i in (1, 2)]
+
+
+STRUCTURAL_BASES = (
+    [
+        pytest.param(lambda i=i: table1_matrix_group(i), id=f"G{i}") for i in (1, 2, 3, 4)
+    ]
+    + [pytest.param(lambda i=i: table2_matrix_group(i), id=f"M{i}") for i in (1, 2)]
+    + [pytest.param(lambda p=p: sl2(p), id=f"sl2({p})") for p in (5, 7, 11, 13, 17, 19, 23, 29)]
+    + [pytest.param(lambda q=q: s0_group(q), id=f"s0({q})") for q in (5, 9, 25)]
+)
+
+
+@pytest.mark.parametrize("make", STRUCTURAL_BASES)
+def test_matrix_group_chains_on_the_basis_vectors_match_reference(make):
+    M = make()
+    for action in ("nonzero", "all"):
+        G = M.perm_group(action)
+        shift = 1 if action == "nonzero" else 0
+        assert G._base == tuple(M.field.q**i - shift for i in range(M.dim))
+        assert_known_base_chain_matches_reference(G.degree, G.generators, G._base)
+        assert G.chain().base == build_chain(G.degree, G.generators).base
+
+
+def test_affine_linear_chains_on_the_basis_codes_match_reference():
+    for G in affine_linear_parts():
+        # the codes p^k of the F_p-basis vectors, k < log_p(degree)
+        p, width = G._linear_base[1], len(G._linear_base)
+        assert G._linear_base == tuple(p**k for k in range(width)) and p**width == G.degree
+        assert_known_base_chain_matches_reference(G.degree, G._linear, G._linear_base)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 127])
+def test_agl1_chain_on_0_and_1_matches_reference(q):
+    G = agl1(q)
+    assert G._base == (0, 1)
+    assert_known_base_chain_matches_reference(G.degree, G.generators, G._base)
+
+
+@pytest.mark.parametrize("m,n,r", [(1, 1, 1), (7, 3, 2), (5, 4, 2), (13, 4, 5), (9, 2, 8)])
+def test_z_group_chain_on_0_matches_reference(m, n, r):
+    G = z_group(m, n, r)
+    assert G._base == (0,)
+    assert_known_base_chain_matches_reference(G.degree, G.generators, G._base)
+
+
+def assert_is_base(degree, generators, base):
+    """Only the identity fixes the base: a chain with it forced first
+    has no further level."""
+    assert build_chain(degree, generators, base).base == tuple(dict.fromkeys(base))
+
+
+def test_structural_bases_are_bases():
+    matrix_groups = (sl2(5), sl2(7), s0_group(5), s0_group(9))
+    for M in matrix_groups + (table1_matrix_group(1), table2_matrix_group(1)):
+        for action in ("nonzero", "all"):
+            G = M.perm_group(action)
+            assert_is_base(G.degree, G.generators, G._base)
+    for G in affine_linear_parts()[:2]:
+        assert_is_base(G.degree, G._linear, G._linear_base)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        G = agl1(q)
+        assert_is_base(G.degree, G.generators, G._base)
+    for m, n, r in [(7, 3, 2), (5, 4, 2), (9, 2, 8)]:
+        G = z_group(m, n, r)
+        assert_is_base(G.degree, G.generators, G._base)
+    for G in (symmetric_group(4), agl1(7)):
+        N = derived_subgroup(G)
+        quotient = coset_action(G, N).group
+        assert quotient._base == (0,)
+        assert_is_base(quotient.degree, quotient.generators, quotient._base)
+
+
+def test_subgroups_inherit_the_chain_base():
+    G = sl2(7).perm_group("all")
+    H = G.subgroup(G.generators[:1])
+    assert H._base == G.chain().base
+    assert G.point_stabilizer(0)._base == G.chain().base
+    assert derived_subgroup(G)._base == G.chain().base
+    assert_is_base(H.degree, H.generators, H._base)
+
+
+def test_known_base_chain_composes_few_degree_n_tuples(monkeypatch):
+    from gen32 import permgroup
+
+    # verifying sl2(29)'s chain on 840 points sifts over a thousand
+    # Schreier generators; on the base only the residues that become
+    # strong generators are composed at full degree
+    full = []
+    real = permgroup._compose
+
+    def counting(factors):
+        images = real(factors)
+        if len(images) == 840:
+            full.append(images)
+        return images
+
+    monkeypatch.setattr(permgroup, "_compose", counting)
+    G = sl2(29).perm_group()
+    assert G.order() == 29 * (29 * 29 - 1)
+    assert 0 < len(full) <= 10
+
+
+def keyed_by_key_reference(G):
+    """The keyed enumeration one key and one generator at a time, with
+    classes from one conjugate key at a time: (keys, parent, via, classes)."""
+    base = G.keyed().base
+    gens = [g for g in G.generators if not g.is_identity()]
+    keys, parent, via = [base], [0], [0]
+    seen = {base}
+    layer = [0]
+    while layer:
+        found = []
+        for i in layer:
+            for e, g in enumerate(gens):
+                y = g.images_of(keys[i])
+                if y not in seen:
+                    seen.add(y)
+                    found.append((y, i, e))
+        found.sort()
+        layer = list(range(len(keys), len(keys) + len(found)))
+        for y, i, e in found:
+            keys.append(y)
+            parent.append(i)
+            via.append(e)
+    elements = [G.keyed().chain.element(k) for k in keys]
+    index = {k: i for i, k in enumerate(keys)}
+    classes, done = [], set()
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if i in done:
+            continue
+        members, queue = {i}, [i]
+        while queue:
+            x = elements[queue.pop()]
+            for g in gens:
+                j = index[x.conj(g).images_of(base)]
+                if j not in members:
+                    members.add(j)
+                    queue.append(j)
+        done |= members
+        classes.append(sorted(members, key=keys.__getitem__))
+    return keys, parent, via, classes
+
+
+def test_layer_gathers_match_per_key_reference():
+    groups = [random_group(s) for s in range(60)] + [
+        agl1(13), agl1(16), sl2(5).perm_group("all"), z_group(7, 3, 2), symmetric_group(5)
+    ]
+    for G in (G for G in groups if G.order() <= 2000):
+        keyed = G.keyed()
+        keys, parent, via, classes = keyed_by_key_reference(G)
+        assert keyed.keys == keys
+        assert list(keyed._parent) == parent
+        assert list(keyed._via) == via
+        assert keyed.classes() == classes
+
+
+def test_action_on_base_orbits_is_faithful_and_keeps_the_key_order():
+    rng = random.Random(7)
+    checked = 0
+    for s in range(200):
+        H = random_group(s)
+        if H.degree < 2 or H.order() > 2000:
+            continue
+        # H twice over, on 2n points shuffled, plus a fixed point
+        n = H.degree
+        relabel = list(range(2 * n + 1))
+        rng.shuffle(relabel)
+        gens = []
+        for g in H.generators:
+            images = [0] * (2 * n + 1)
+            for x in range(n):
+                images[relabel[x]] = relabel[g[x]]
+                images[relabel[n + x]] = relabel[n + g[x]]
+            images[relabel[2 * n]] = relabel[2 * n]
+            gens.append(Perm(images))
+        G = PermGroup(2 * n + 1, gens)
+        action, points = G.on_base_orbits()
+        if action is G:
+            assert points == list(range(G.degree)) or G.order() == 1
+            continue
+        checked += 1
+        assert points == sorted(points) and len(points) < G.degree
+        assert action.order() == G.order()
+        assert action.lex_least_chain() is action.chain()
+        assert action.keyed().keys == [
+            tuple(points.index(y) for y in key) for key in G.keyed().keys
+        ]
+        assert action.keyed().classes() == G.keyed().classes()
+        # the given chain is a chain of the action
+        fresh = PermGroup(action.degree, action.generators)
+        given = action.chain().levels
+        assert all(fresh.contains(u) for lv in given for u in lv.transversal.values())
+    assert checked >= 50
+
+
 def test_elements_sorted_lex_first_is_identity():
     G = symmetric_group(4)
     elems = G.elements()
@@ -455,7 +676,10 @@ def test_point_stabilizer_reuses_the_chain_based_at_the_point(monkeypatch):
     assert based_at_1.chain().base[:2] == (1, 5)
     calls.clear()
     H = based_at_1.point_stabilizer(0)
-    assert [args[2:] for args in calls] == [((0,),)]
+    assert len(calls) == 1
+    assert calls[0][2] == (0,)
+    # the rebuild is given the chain's base as a known base
+    assert calls[0][3] == based_at_1.chain().base
     assert all(g.images[0] == 0 for g in H.generators)
     assert len(based_at_1.orbit(0)) * H.order() == based_at_1.order()
 
