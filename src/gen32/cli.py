@@ -163,6 +163,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     if args.infile is not None:
+        extra = [args.kind] if args.kind is not None else []
+        extra += [f"--{f}" for f in ("q", "i", "p", "m", "n", "r", "action")
+                  if getattr(args, f) is not None]
+        if extra:
+            raise UsageError(f"--in takes no construction kind or kind flag, got {' '.join(extra)}")
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 group = group_from_text(fh.read())
@@ -228,6 +233,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and args.suite != "all":
         raise UsageError(f"--jobs {args.jobs} needs --suite all, which runs its suites in parallel")
+    if args.q and args.suite not in ("lemma7", "all"):
+        raise UsageError(f"--q applies to --suite lemma7 or all, not {args.suite}")
     q_list = _parse_q_list(args.q) if args.q else None
     t0 = time.perf_counter()
     if args.jobs > 1:

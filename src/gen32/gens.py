@@ -6,16 +6,18 @@ scanned with the first slot running over conjugacy-class representatives
 (ascending lexicographically) and the remaining slots over all elements
 in enumeration order.  Conjugating a generating tuple preserves
 generation, so fixing the first entry up to conjugacy loses nothing.
-There is one scan for every group size, and it runs on the keys of G's
-keyed enumeration (``PermGroup.keyed``): a slot value is an element
-number, and it is built as a permutation only when it enters a prefix
-or is a final candidate that the skip test and the abelian filter let
-through.  A slot value inside the subgroup generated by the preceding
-slots is skipped: removing it from a witness would leave a smaller one,
-and the search only runs at size k after sizes < k have been exhausted,
-so the skip never changes which witness is found first.  The prefix
-subgroup is tracked as an explicit set of keys while it has at most
-``PREFIX_SET_LIMIT`` elements; past that the skip is not applied.
+There is one scan for every group size and every tuple size, size 1
+included (there it tests each representative's subgroup order), and it
+runs on the keys of G's keyed enumeration (``PermGroup.keyed``): a slot
+value is an element number, and it is built as a permutation only when
+it enters a prefix or is a final candidate that the skip test and the
+abelian filter let through.  A slot value inside the subgroup generated
+by the preceding slots is skipped: removing it from a witness would
+leave a smaller one, and the search only runs at size k after sizes < k
+have been exhausted, so the skip never changes which witness is found
+first.  The prefix subgroup is tracked as an explicit set of keys while
+it has at most ``PREFIX_SET_LIMIT`` elements; past that the skip is not
+applied.
 
 Two necessary-condition filters reject candidates before any closure is
 computed: the tuple must be transitive on every orbit of G (its orbits
@@ -212,10 +214,12 @@ class _Search:
     """Shared state for the level-by-level witness search on one group.
 
     ``run_level(k, limit)`` scans all size-k tuples in the canonical
-    order; it must only be called once sizes < k are known to be
-    witness-free (the skip rule relies on it).  ``tests`` counts final
-    candidates attempted and persists across levels; when it reaches the
-    limit the scan aborts with ``truncated`` set.
+    order, size 1 included, through the one slot scan of ``_extend``: the
+    first slot runs over the class representatives and every later slot
+    over all elements.  It must only be called once sizes < k are known
+    to be witness-free (the skip rule relies on it).  ``tests`` counts
+    final candidates attempted and persists across levels; when it
+    reaches the limit the scan aborts with ``truncated`` set.
     """
 
     def __init__(self, G: PermGroup):
@@ -224,63 +228,25 @@ class _Search:
         self._keyed = G.keyed()
         # the least member of every class but the identity's, which is first
         self._rep_ids = [cls[0] for cls in self._keyed.classes()[1:]]
-        self.reps = [self._keyed.perm(i) for i in self._rep_ids]
         self.tests = 0
         self.truncated = False
-        self._prepared = False
-        self._ab: _AbelianFilter | None = None
         self._orbits = [o for o in G.orbits() if len(o) > 1]
+        # the abelian filter, when G/[G,G] is nontrivial (a perfect
+        # group's filter rejects nothing) and small
+        D = derived_subgroup(G)
+        ab_size = self.n // D.order()
+        self._ab = _AbelianFilter(G, D) if 1 < ab_size <= ABELIAN_FILTER_LIMIT else None
 
     def _has_orbits_of_G(self, H: PermGroup) -> bool:
         """Whether a subgroup H of G has G's orbits: H's orbits refine
         G's, so it must only be transitive on G's non-singleton orbits."""
         return all(len(H.orbit(o[0])) == len(o) for o in self._orbits)
 
-    # -- lazy heavy state --------------------------------------------------
-
-    def _prepare(self) -> None:
-        """Build the abelian filter when G/[G,G] is nontrivial (a perfect
-        group's filter rejects nothing) and small."""
-        if self._prepared:
-            return
-        self._prepared = True
-        D = derived_subgroup(self.G)
-        if 1 < self.n // D.order() <= ABELIAN_FILTER_LIMIT:
-            self._ab = _AbelianFilter(self.G, D)
-
-    # -- public entry ------------------------------------------------------
-
     def run_level(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
         """First witness of size exactly k, or None; honors the test
         limit."""
         self.truncated = False
-        if k == 1:
-            # an element of order |G| makes G cyclic, hence abelian, and
-            # an abelian group has one conjugacy class per element
-            abelian = len(self.reps) == self.n - 1
-            for r in self.reps:
-                if limit is not None and self.tests >= limit:
-                    self.truncated = True
-                    return None
-                self.tests += 1
-                if abelian and r.order() == self.n:
-                    return (r,)
-            return None
-        self._prepare()
-        return self._scan(k, limit)
-
-    def _scan(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
-        for r in self._rep_ids:
-            got = self._extend((r,), self._closure_keys((r,)), k - 1, limit)
-            if got is not None or self.truncated:
-                return got
-        return None
-
-    def _closure_keys(self, prefix: tuple[int, ...]) -> set[tuple[int, ...]] | None:
-        """The keys of the subgroup the prefix generates, or None when it
-        exceeds the tracking limit."""
-        keyed = self._keyed
-        return keyed.closure([keyed.perm(i) for i in prefix], PREFIX_SET_LIMIT)
+        return self._extend((), None, k, limit)
 
     def _extend(
         self,
@@ -291,19 +257,22 @@ class _Search:
     ) -> tuple[Perm, ...] | None:
         """The first witness that extends the prefix by ``remaining`` more
         elements, skipping those already in the subgroup ``sub`` it
-        generates."""
+        generates (None: not tracked).  The first slot runs over the
+        class representatives, every later one over all elements."""
         keyed = self._keyed
         keys = keyed.keys
         ab = self._ab
         span = None
-        if ab is not None:
+        if ab is not None and prefix:
             span = ab.span(sorted({ab.phi[keys[i]] for i in prefix}))
             if ab.gens_needed(span) > remaining:
                 return None
+        slots = self._rep_ids if not prefix else range(len(keys))
         if remaining == 1:
-            good = ab.good_last(span) if ab is not None else None
+            good = ab.good_last(span) if span is not None else None
             perms = tuple(keyed.perm(i) for i in prefix)
-            for i, key in enumerate(keys):
+            for i in slots:
+                key = keys[i]
                 if sub is not None and key in sub:
                     continue
                 if limit is not None and self.tests >= limit:
@@ -317,11 +286,12 @@ class _Search:
                 if self._has_orbits_of_G(H) and H.order() == self.n:
                     return cand
             return None
-        for i, key in enumerate(keys):
-            if sub is not None and key in sub:
+        for i in slots:
+            if sub is not None and keys[i] in sub:
                 continue
             longer = prefix + (i,)
-            got = self._extend(longer, self._closure_keys(longer), remaining - 1, limit)
+            closure = keyed.closure([keyed.perm(j) for j in longer], PREFIX_SET_LIMIT)
+            got = self._extend(longer, closure, remaining - 1, limit)
             if got is not None:
                 return got
             if self.truncated:
@@ -342,22 +312,16 @@ def _lift(
     return tuple(chain.element([points[y] for y in p.images_of(at)]) for p in perms)
 
 
-def _max_possible_d(n: int) -> int:
-    k = 0
-    while (1 << k) < n:
-        k += 1
-    return k
-
-
 def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     """The minimal number of generators of G, with a verified witness.
 
-    Searches sizes k = 1, 2, ... exhaustively while the projected
-    candidate count classes(G) * |G|^(k-1) fits the budget, returning
-    method 'exhaustive'.  Otherwise falls back to a budget-capped upper
-    search that must meet the certified lower bound (method
-    'bound-meet'); anything else raises IndeterminateError.  Requires
-    |G| within the enumeration cap of ``PermGroup.keyed``.
+    Searches sizes k = 1, 2, ... exhaustively, each by the same slot
+    scan (its first slot runs over the class representatives), while the
+    projected candidate count classes(G) * |G|^(k-1) fits the budget,
+    returning method 'exhaustive'.  Otherwise falls back to a
+    budget-capped upper search that must meet the certified lower bound
+    (method 'bound-meet'); anything else raises IndeterminateError.
+    Requires |G| within the enumeration cap of ``PermGroup.keyed``.
 
     The search runs on G's action on the orbits of its base points
     (``PermGroup.on_base_orbits``), which numbers the elements as G does
@@ -371,9 +335,9 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
         return DResult(value=0, witness=GenTuple(elements=(), verified=True), method=METHOD_EXHAUSTIVE)
     R, points = G.on_base_orbits()
     search = _Search(R)
-    classes = len(search.reps)
+    classes = len(search._rep_ids)
     lower = None  # the certified lower bound, once the search meets the budget
-    for k in range(1, _max_possible_d(n) + 1):
+    for k in range(1, (n - 1).bit_length() + 1):
         if lower is None and search.tests + classes * n ** (k - 1) > budget:
             lower = max(d_lower_bound_abelian(R), k)
         if lower is not None and search.tests >= budget:

@@ -85,7 +85,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .field import prime_factors
+from .field import POINT_LIMIT, prime_factors
 
 ELEMENT_LIMIT = 10**5
 SUBGROUP_CENSUS_LIMIT = 2000
@@ -1173,7 +1173,8 @@ def group_to_text(G: PermGroup) -> str:
 
 def group_from_text(text: str) -> PermGroup:
     """Parse the permutation-group text format; raises ValueError on
-    malformed input."""
+    malformed input and on a degree above ``POINT_LIMIT``, before any
+    permutation line is read."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty permutation group text")
@@ -1186,6 +1187,8 @@ def group_from_text(text: str) -> PermGroup:
         raise ValueError(f"bad degree {head[1]!r}") from exc
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
+    if degree > POINT_LIMIT:
+        raise ValueError(f"degree {degree} exceeds cap {POINT_LIMIT}")
     gens = []
     for ln in lines[1:]:
         try:

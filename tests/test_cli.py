@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -228,6 +229,32 @@ def test_analyze_malformed_file_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_degree_over_the_point_cap_is_exit_2(tmp_path, capsys):
+    # a header alone used to be accepted and end in a MemoryError
+    big = tmp_path / "big.txt"
+    big.write_text("degree 20000000\n")
+    code, out, err = run_cli(capsys, "analyze", "--in", str(big))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds cap 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("s0", "--q", "5"), ("agl1",), ("--q", "5"), ("--q", "0"), ("--action", "all"), ("--m", "7")],
+)
+def test_analyze_in_with_a_kind_or_kind_flag_is_usage_error(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.setattr("gen32.cli.group_from_text", lambda *a: pytest.fail("file was read"))
+    monkeypatch.setattr("gen32.cli._build", lambda *a: pytest.fail("group was built"))
+    source = tmp_path / "g.txt"
+    source.write_text("degree 3\n1 2 0\n")
+    code, out, err = run_cli(capsys, "analyze", *extra, "--in", str(source))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --in") and err.count("\n") == 1
+
+
 def test_analyze_no_source_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 2
@@ -342,6 +369,45 @@ def test_reproduce_bad_jobs_is_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --jobs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["table1", "table2", "corollary3", "genlemmas"])
+def test_reproduce_q_with_a_suite_that_reads_none_is_usage_error(capsys, monkeypatch, suite):
+    monkeypatch.setattr("gen32.cli.run_suite", lambda *a: pytest.fail("suite ran"))
+    code, out, err = run_cli(capsys, "reproduce", "--suite", suite, "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --q") and err.count("\n") == 1
+
+
+def test_reproduce_jobs_2_writes_the_report_of_one_job(tmp_path, capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"jobs{jobs}.json"
+        code, _, _ = run_cli(
+            capsys, "reproduce", "--suite", "all", "--jobs", jobs, "--out", str(target)
+        )
+        assert code == 0
+        reports.append(strip_timing(json.loads(target.read_text())))
+    assert len(reports[0]["verdicts"]) == 125
+    assert reports[0] == reports[1]
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # the census behind corollary3 is built on frozensets of keys
+    outputs = {}
+    for seed in ("0", "1"):
+        for argv in (("reproduce", "--suite", "corollary3"), ("analyze", "agl1", "--q", "8")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gen32.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.setdefault(argv, []).append(strip_timing(json.loads(proc.stdout)))
+    for argv, (first, second) in outputs.items():
+        assert first == second, argv
 
 
 def test_reproduce_unknown_suite_exit_2():

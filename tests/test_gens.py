@@ -494,7 +494,7 @@ def test_size_one_level_computes_no_element_order_in_a_nonabelian_group(monkeypa
     search = _Search(G)
     monkeypatch.setattr(Perm, "order", lambda self: pytest.fail("element order computed"))
     assert search.run_level(1, None) is None
-    assert search.tests == len(search.reps) == 4
+    assert search.tests == len(search._rep_ids) == 4
     search.tests = 0
     assert search.run_level(1, 2) is None
     assert search.truncated and search.tests == 2

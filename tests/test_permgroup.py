@@ -1064,7 +1064,8 @@ def test_perm_to_text():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "degree", "degree x", "degree 0", "degree 3\n0 0 1", "degree 3\n0 1", "nonsense\n0 1"],
+    ["", "degree", "degree x", "degree 0", "degree 3\n0 0 1", "degree 3\n0 1", "nonsense\n0 1",
+     "degree 1000001\n"],
 )
 def test_group_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
