@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -44,60 +45,69 @@ from .verify import ClaimVerdict, SUITE_NAMES, SUITE_PARTS, run_suite
 
 SCHEMA = "gen32/1"
 
-KINDS = ("s0", "affine", "table1", "table2", "sl2", "zgroup", "agl1")
+# the kind flags each construction kind reads; any other is a usage error
+KIND_FLAGS = {
+    "s0": ("q", "action"),
+    "affine": ("q",),
+    "table1": ("i",),
+    "table2": ("i",),
+    "sl2": ("p", "action"),
+    "zgroup": ("m", "n", "r"),
+    "agl1": ("q",),
+}
+KINDS = tuple(KIND_FLAGS)
 
 
 class UsageError(Exception):
     """Bad flags or an unwritable ``--out`` path (exit code 2)."""
 
 
-def _need(value: object, flag: str, kind: str) -> None:
-    if value is None:
-        raise UsageError(f"construction {kind!r} requires {flag}")
+def _given_flags(args: argparse.Namespace, allowed: Sequence[str] = ()) -> list[str]:
+    """The kind flags given on the command line, outside ``allowed``."""
+    return [
+        f"--{f}" for f in ("q", "i", "p", "m", "n", "r", "action")
+        if f not in allowed and getattr(args, f) is not None
+    ]
 
 
-def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[], DResult]]:
+def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[int], DResult]]:
     """Resolve a construction kind and its flags into a name, the
-    permutation group, and the d strategy appropriate for it (affine
-    kinds shortcut through their linear stabilizer)."""
+    permutation group, and the d strategy appropriate for it as a
+    function of the budget (affine kinds shortcut through their linear
+    stabilizer).  Every flag the kind reads but ``--action`` is required,
+    and a kind flag it does not read is a usage error."""
     kind = args.kind
-    budget = args.budget
+    if kind not in KIND_FLAGS:
+        raise UsageError(f"unknown construction kind {kind!r}")
+    allowed = KIND_FLAGS[kind]
+    extra = _given_flags(args, allowed)
+    if extra:
+        reads = ", ".join(f"--{f}" for f in allowed)
+        raise UsageError(f"construction {kind!r} reads only {reads}, not {' '.join(extra)}")
+    for f in allowed:
+        if f != "action" and getattr(args, f) is None:
+            raise UsageError(f"construction {kind!r} requires --{f}")
+    action = args.action or "nonzero"
     if kind == "s0":
-        _need(args.q, "--q", kind)
-        action = args.action or "nonzero"
         group = s0_group(args.q).perm_group(action)
-        return f"s0(q={args.q},action={action})", group, lambda: d_exact(group, budget)
+        return f"s0(q={args.q},action={action})", group, partial(d_exact, group)
     if kind == "sl2":
-        _need(args.p, "--p", kind)
-        action = args.action or "nonzero"
         group = sl2(args.p).perm_group(action)
-        return f"sl2(p={args.p},action={action})", group, lambda: d_exact(group, budget)
+        return f"sl2(p={args.p},action={action})", group, partial(d_exact, group)
     if kind == "affine":
-        _need(args.q, "--q", kind)
         stab = s0_group(args.q)
-        group = affine_group(stab)
-        return f"affine(s0,q={args.q})", group, lambda: d_affine(stab, budget)
+        return f"affine(s0,q={args.q})", affine_group(stab), partial(d_affine, stab)
     if kind == "table1":
-        _need(args.i, "--i", kind)
         group = table1_group(args.i)
-        stab = table1_matrix_group(args.i)
-        return f"table1(i={args.i})", group, lambda: d_affine(stab, budget)
+        return f"table1(i={args.i})", group, partial(d_affine, table1_matrix_group(args.i))
     if kind == "table2":
-        _need(args.i, "--i", kind)
         group = table2_group(args.i)
-        stab = table2_matrix_group(args.i)
-        return f"table2(i={args.i})", group, lambda: d_affine(stab, budget)
+        return f"table2(i={args.i})", group, partial(d_affine, table2_matrix_group(args.i))
     if kind == "zgroup":
-        _need(args.m, "--m", kind)
-        _need(args.n, "--n", kind)
-        _need(args.r, "--r", kind)
         group = z_group(args.m, args.n, args.r)
-        return f"zgroup(m={args.m},n={args.n},r={args.r})", group, lambda: d_exact(group, budget)
-    if kind == "agl1":
-        _need(args.q, "--q", kind)
-        group = agl1(args.q)
-        return f"agl1(q={args.q})", group, lambda: d_exact(group, budget)
-    raise UsageError(f"unknown construction kind {kind!r}")
+        return f"zgroup(m={args.m},n={args.n},r={args.r})", group, partial(d_exact, group)
+    group = agl1(args.q)
+    return f"agl1(q={args.q})", group, partial(d_exact, group)
 
 
 def _check_writable(out: str | None) -> bool:
@@ -144,10 +154,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # analyze
 
 
-def _d_payload(compute: Callable[[], DResult]) -> tuple[dict, int]:
+def _d_payload(compute: Callable[[int], DResult], budget: int) -> tuple[dict, int]:
     t0 = time.perf_counter()
     try:
-        res = compute()
+        res = compute(budget)
         payload = {
             "value": res.value,
             "method": res.method,
@@ -164,8 +174,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     if args.infile is not None:
         extra = [args.kind] if args.kind is not None else []
-        extra += [f"--{f}" for f in ("q", "i", "p", "m", "n", "r", "action")
-                  if getattr(args, f) is not None]
+        extra += _given_flags(args)
         if extra:
             raise UsageError(f"--in takes no construction kind or kind flag, got {' '.join(extra)}")
         try:
@@ -175,8 +184,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"error: cannot read group from {args.infile}: {exc}", file=sys.stderr)
             return 2
         name = f"file:{os.path.basename(args.infile)}"
-        budget = args.budget
-        compute = lambda: d_exact(group, budget)  # noqa: E731
+        compute = partial(d_exact, group)
     else:
         if args.kind is None:
             print("error: analyze needs a construction kind or --in FILE", file=sys.stderr)
@@ -190,7 +198,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         stab_order = group.point_stabilizer(0).order()
         if report.order != report.degree * stab_order:
             raise RuntimeError("internal error: orbit-stabilizer mismatch")
-    d_payload, d_ms = _d_payload(compute)
+    d_payload, d_ms = _d_payload(compute, args.budget)
     payload = {
         "schema": SCHEMA,
         "name": name,
@@ -295,7 +303,6 @@ def _add_kind_flags(sub: argparse.ArgumentParser) -> None:
         choices=("nonzero", "all"),
         help="point set for matrix kinds: nonzero vectors or all vectors",
     )
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget for d")
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -315,6 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("kind", nargs="?", choices=KINDS)
     _add_kind_flags(analyze_p)
     analyze_p.add_argument("--in", dest="infile", help="read a serialized group instead")
+    analyze_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget for d")
     analyze_p.set_defaults(func=cmd_analyze)
 
     reproduce = subs.add_parser("reproduce", help="run a claim suite and report verdicts")

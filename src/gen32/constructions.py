@@ -97,7 +97,8 @@ def translations(field: FieldSpec, dim: int, codes: Iterable[int]) -> Iterator[P
 
 def translation_perms(field: FieldSpec, dim: int) -> list[Perm]:
     """The dim standard-basis translations v -> v + e_i on vector codes;
-    e_i has code q^i."""
+    e_i has code q^i.  They generate V only over a prime field; over
+    GF(p^m) they generate the GF(p)-span of the e_i, of order p^dim."""
     q = field.q
     total = q**dim
     if total > POINT_LIMIT:
@@ -138,28 +139,40 @@ def _check_additive(p: int, g: Perm) -> None:
 
 
 class _AffineGroup(PermGroup):
-    """The affine group G = <V_0, H> on the q^dim vector codes, for the
-    dim basis translations V_0 and a group H of additive permutations
-    fixing the zero vector, with generators in that order.
+    """The affine group G = V . H on the q^dim vector codes, for a group
+    H of additive permutations fixing the zero vector.
+
+    Its generators are the dim GF(q)-basis translations (codes q^i), then
+    H's generators, then the translation by each GF(p)-basis code p^k
+    that the orbit of 0 under the generators before it does not reach.
+    Over a prime field p^k = q^k, so none is appended.  Over GF(p^m)
+    with m > 1 the orbit of 0 under the GF(q)-basis translations and H
+    is the H-submodule over GF(p) that the basis spans, which may be
+    smaller than V even for H irreducible over GF(q); the appended
+    translations make up the rest, so the translations given generate V.
 
     The q^dim translations form a regular group T, and each generator of
     H is additive, so it normalizes T.  Hence every element of G is
-    t_v * h with t_v a translation in G and h in H; it fixes the zero
-    vector only when v = 0, so the stabilizer G_0 is exactly H.  The
-    stabilizer chain is therefore assembled, on first use, from a level
-    for the orbit of 0 under G's generators (all of V when G is
-    transitive, and then |G| = q^dim * |H|) on top of a chain of H alone
-    (``chain_from_stabilizer``), with no Schreier-Sims run over G.  An
-    additive permutation fixing the F_p-basis codes p^k fixes every code,
-    so they are a known base of H.
+    t_v * h with t_v a translation and h in H; it fixes the zero vector
+    only when v = 0, so the stabilizer G_0 is exactly H.  The stabilizer
+    chain is therefore assembled, on first use, from a level for the
+    orbit of 0 (all of V, so |G| = q^dim * |H|) on top of a chain of H
+    alone (``chain_from_stabilizer``), with no Schreier-Sims run over G.
+    An additive permutation fixing the F_p-basis codes p^k fixes every
+    code, so they are a known base of H.
     """
 
     __slots__ = ("_linear", "_linear_base")
 
     def __init__(self, field: FieldSpec, dim: int, linear: tuple[Perm, ...]):
-        super().__init__(field.q**dim, tuple(translation_perms(field, dim)) + linear)
+        total = field.q**dim
+        gens = translation_perms(field, dim) + list(linear)
         for g in linear:
             _check_additive(field.p, g)
+        for k in range(field.m * dim):
+            if k % field.m and field.p**k not in PermGroup(total, gens).orbit(0):
+                gens += translations(field, dim, (field.p**k,))
+        super().__init__(total, gens)
         self._linear = linear
         self._linear_base = tuple(field.p**k for k in range(field.m * dim))
 
@@ -174,11 +187,12 @@ def affine_of_linear_perms(field: FieldSpec, dim: int, nonzero_perms: tuple[Perm
     """The affine group V . L for a linear group L given by its
     permutations of nonzero vectors.
 
-    Generators are the dim basis translations followed by the linear
-    generators extended to fix the zero vector.  Each linear generator
-    must be additive (else ``PreconditionError``), and the stabilizer
-    chain is assembled from the translations and a chain of L alone
-    (``_AffineGroup``).
+    Generators are the dim GF(q)-basis translations, the linear
+    generators extended to fix the zero vector, and over GF(p^m) with
+    m > 1 the GF(p)-basis translations still needed to generate V.  Each
+    linear generator must be additive (else ``PreconditionError``), and
+    the stabilizer chain is assembled from the translations and a chain
+    of L alone (``_AffineGroup``).
     """
     total = field.q**dim
     for g in nonzero_perms:
@@ -193,7 +207,10 @@ def affine_group(G0: MatrixGroup) -> PermGroup:
     The linear part is G0's permutation group on nonzero vectors
     (``MatrixGroup.perm_group``, which converts each matrix once), so the
     generators are the dim standard-basis translations followed by the
-    permutations of the matrix generators of G0 on all vectors.
+    permutations of the matrix generators of G0 on all vectors.  Over
+    GF(p^m) with m > 1 the translations by the GF(p)-basis codes p^k
+    that these do not yet reach follow, so the translations generate V
+    even when G0 is irreducible over GF(q) but not over GF(p).
     """
     return affine_of_linear_perms(G0.field, G0.dim, G0.perm_group("nonzero").generators)
 

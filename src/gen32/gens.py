@@ -52,15 +52,15 @@ bound-meet mode: a budget-capped search for an upper bound plus the
 abelianization lower bound; the two must meet, else the result is
 indeterminate (an error, never a guess).
 
-``d_affine`` computes d(V . G0) for an irreducible stabilizer G0
-without searching the large affine group: the value is max(2, d(G0)),
-and a witness is produced by sliding slots of a lifted stabilizer
-witness around their translation cosets and verifying generation
-directly.
+``d_affine`` computes d(V . G0) for G0 irreducible over GF(q) without
+searching the affine group: it lifts a minimal G0 witness through the
+translations, one slot and then two at a time (two only when V is
+reducible over GF(p)), and verifies generation directly.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
 from .constructions import affine_group, extend_fixing_zero, translations
@@ -370,15 +370,19 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
 
 
 def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
-    """d of the affine group V . G0 for an irreducible nontrivial
-    stabilizer G0, without searching the affine group itself.
+    """d of V . G0 for a nontrivial G0 irreducible over GF(q), without
+    searching the affine group itself.
 
-    For irreducible G0 the affine group needs at least 2 generators and
-    never more than max(2, d(G0)): a minimal stabilizer witness can be
-    completed by sliding single slots around their translation coset
-    until the affine group is generated.  The returned witness is found
-    by exactly that scan and verified by an order computation, so the
-    value is exact, with method 'shortcut-LM'.
+    A minimal G0 witness, padded with identities to max(2, d(G0)) slots,
+    has one slot and then two multiplied by translations until an order
+    computation shows that it generates; that value is then exact, with
+    method 'shortcut-LM'.  One slot suffices when V is irreducible over
+    GF(p): the lifts that fail are the witness's cocycles, a subspace of
+    V^m, and one holding every one-slot lift would be all of V^m, which
+    Gaschutz's lemma rules out.  Two slots are needed only when V is
+    irreducible over GF(q) but not over GF(p), as for S_0(3) in GL(2, 9).
+    For <-1> in GL(1, 9) no lift generates (d = 3); running out of lifts
+    or of the budget raises IndeterminateError.
     """
     if not is_irreducible(G0):
         raise PreconditionError("d_affine needs an irreducible stabilizer")
@@ -391,33 +395,21 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     total = G0.field.q**G0.dim
     identity = Perm.identity(total)
     base = [extend_fixing_zero(g) for g in inner.witness.elements]
-    while len(base) < value:
-        base.append(identity)
-    codes = range(1, total)
+    base += [identity] * (value - len(base))
+    shifts = [identity]  # shifts[u] is the translation by code u, built on first use
     attempts = 0
-    for j in range(value):
-        for t in translations(G0.field, G0.dim, codes):
-            cand = tuple(base[:j] + [base[j] * t] + base[j + 1 :])
-            attempts += 1
-            if attempts > budget:
-                raise IndeterminateError("translation-lift budget exhausted")
-            if generates(A, cand):
-                return DResult(value=value, witness=GenTuple(cand, True), method=METHOD_SHORTCUT)
-    shifts = list(translations(G0.field, G0.dim, codes))
-    for j1 in range(value):
-        for j2 in range(j1 + 1, value):
-            for t1 in shifts:
-                for t2 in shifts:
-                    cand = list(base)
-                    cand[j1] = cand[j1] * t1
-                    cand[j2] = cand[j2] * t2
-                    attempts += 1
-                    if attempts > budget:
-                        raise IndeterminateError("translation-lift budget exhausted")
-                    if generates(A, tuple(cand)):
-                        return DResult(
-                            value=value, witness=GenTuple(tuple(cand), True), method=METHOD_SHORTCUT
-                        )
+    for r in (1, 2):
+        for slots in combinations(range(value), r):
+            for codes in product(range(1, total), repeat=r):
+                attempts += 1
+                if attempts > budget:
+                    raise IndeterminateError("translation-lift budget exhausted")
+                shifts += translations(G0.field, G0.dim, range(len(shifts), max(codes) + 1))
+                cand = list(base)
+                for j, u in zip(slots, codes):
+                    cand[j] = cand[j] * shifts[u]
+                if generates(A, cand):
+                    return DResult(value, GenTuple(tuple(cand), True), METHOD_SHORTCUT)
     raise IndeterminateError("no translation lift of the stabilizer witness generates")
 
 

@@ -255,6 +255,34 @@ def test_analyze_in_with_a_kind_or_kind_flag_is_usage_error(tmp_path, capsys, mo
     assert err.startswith("error: --in") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "agl1", "--q", "5", "--action", "all"),
+        ("analyze", "sl2", "--p", "5", "--q", "9"),
+        ("analyze", "table1", "--i", "1", "--action", "all"),
+        ("construct", "zgroup", "--m", "7", "--n", "3", "--r", "2", "--p", "5"),
+        ("construct", "affine", "--q", "9", "--i", "1"),
+    ],
+    ids=["agl1-action", "sl2-q", "table1-action", "zgroup-p", "affine-i"],
+)
+def test_a_kind_flag_the_kind_does_not_read_is_usage_error(capsys, monkeypatch, argv):
+    for ctor in ("agl1", "sl2", "table1_group", "z_group", "s0_group"):
+        monkeypatch.setattr(f"gen32.cli.{ctor}", lambda *a: pytest.fail("group was built"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: construction {argv[1]!r} reads only") and err.count("\n") == 1
+
+
+def test_construct_takes_no_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "s0", "--q", "5", "--budget", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --budget 7" in err
+
+
 def test_analyze_no_source_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 2

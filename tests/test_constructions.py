@@ -26,7 +26,7 @@ from gen32.constructions import (
 )
 from gen32.errors import PreconditionError
 from gen32.field import field_make, prime_power, primitive_element
-from gen32.matgroup import is_irreducible, perm_from_matrix
+from gen32.matgroup import MatrixF, MatrixGroup, is_irreducible, perm_from_matrix
 from gen32.permgroup import Perm, PermGroup, coset_action, subgroups_up_to_conjugacy
 from gen32.transitivity import analyze, is_frobenius, rank
 
@@ -96,8 +96,8 @@ def test_translation_perms_structure():
 
 def test_translation_perms_gf9():
     # each generator adds one standard basis vector, so over GF(9) the
-    # two of them only span the prime-subfield translations; the full
-    # translation group arises inside affine_group via conjugation
+    # two of them only span the prime-subfield translations; S_0(9)
+    # moves them onto all of V, so affine_group appends no other
     f = gf(9)
     ts = translation_perms(f, 2)
     V = PermGroup(81, tuple(ts))
@@ -227,8 +227,8 @@ AFFINE_GROUPS = {
     **{f"table1-G{i}": (lambda i=i: table1_group(i)) for i in (1, 2, 3, 4)},
     **{f"table2-M{i}": (lambda i=i: table2_group(i)) for i in (1, 2)},
     **{f"s0-q{q}": (lambda q=q: affine_group(s0_group(q))) for q in (3, 5, 7, 9, 25)},
-    # intransitive: over GF(9) the basis translations alone span only the
-    # prime-subfield vectors, so the orbit of 0 has 9 of the 81 points
+    # over GF(9) the basis translations alone span only the prime-subfield
+    # vectors, so the translations by codes 3 and 27 are appended: regular
     "gf9-translations-only": lambda: affine_of_linear_perms(gf(9), 2, ()),
 }
 
@@ -236,6 +236,36 @@ AFFINE_GROUPS = {
 @pytest.mark.parametrize("name", sorted(AFFINE_GROUPS))
 def test_affine_chain_matches_schreier_sims(name):
     _assert_chain_matches_schreier_sims(AFFINE_GROUPS[name](), seed=len(name))
+
+
+def _gf9_group(dim, *rows):
+    f = gf(9)
+    return MatrixGroup(f, dim, [MatrixF.from_codes(f, r) for r in rows])
+
+
+@pytest.mark.parametrize(
+    "make,order,appended",
+    [
+        # S_0(3)'s generators: irreducible over GF(9), not over GF(3)
+        (lambda: _gf9_group(2, [[0, 1], [1, 0]], [[1, 0], [0, 2]], [[2, 0], [0, 2]]), 81 * 8, [3]),
+        # -1 fixes every GF(3)-line of GF(9)
+        (lambda: _gf9_group(1, [[2]]), 9 * 2, [3]),
+        # S_0(9) moves the GF(9)-basis onto all of V
+        (lambda: s0_group(9), 81 * 32, []),
+    ],
+    ids=["s0(3)-in-GL(2,9)", "minus-one-in-GL(1,9)", "s0(9)"],
+)
+def test_affine_group_over_gf9_has_every_translation(make, order, appended):
+    G0 = make()
+    A = affine_group(G0)
+    assert A.order() == order
+    assert A.is_transitive()
+    # the translations appended after the linear generators, by code
+    extra = A.generators[G0.dim + len(G0.generators) :]
+    assert [g.images[0] for g in extra] == appended
+    linear = G0.perm_group("nonzero").generators
+    assert affine_of_linear_perms(G0.field, G0.dim, linear).generators == A.generators
+    _assert_chain_matches_schreier_sims(A, seed=order)
 
 
 @pytest.mark.parametrize("case", [1, 2])

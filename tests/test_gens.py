@@ -882,6 +882,70 @@ def test_d_affine_requires_nontrivial():
         d_affine(MatrixGroup(f, 2, [MatrixF.identity(f, 2)]))
 
 
+def s0_3_over_gf9():
+    """S_0(3)'s generators in GL(2, 9): irreducible over GF(9), while V
+    is reducible over GF(3)."""
+    f = field_make(3, 2)
+    rows = ([[0, 1], [1, 0]], [[1, 0], [0, 2]], [[2, 0], [0, 2]])
+    return MatrixGroup(f, 2, [MatrixF_from(f, r) for r in rows])
+
+
+def minus_one_over_gf9():
+    """<-1> in GL(1, 9): V . G0 is generalized dihedral on C_3 x C_3."""
+    f = field_make(3, 2)
+    return MatrixGroup(f, 1, [MatrixF_from(f, [[2]])])
+
+
+def test_d_affine_needs_a_two_slot_lift_for_s0_3_over_gf9():
+    from gen32.constructions import affine_group
+
+    stab = s0_3_over_gf9()
+    aff = affine_group(stab)
+    assert aff.order() == 81 * 8
+    res = d_affine(stab)
+    assert res.value == d_exact(aff).value == 2
+    assert res.method == "shortcut-LM"
+    assert generates(aff, res.witness.elements)
+    # all 2 * 80 one-slot lifts fail; the third two-slot lift generates
+    with pytest.raises(IndeterminateError, match="translation-lift budget exhausted"):
+        d_affine(stab, 162)
+    assert d_affine(stab, 163) == res
+
+
+def test_d_affine_finds_no_lift_for_minus_one_over_gf9():
+    from gen32.constructions import affine_group
+
+    stab = minus_one_over_gf9()
+    aff = affine_group(stab)
+    assert aff.order() == 18
+    assert d_exact(aff).value == 3
+    # 2 * 8 one-slot and 8 * 8 two-slot lifts, none generating
+    with pytest.raises(IndeterminateError, match="translation-lift budget exhausted"):
+        d_affine(stab, 79)
+    for budget in (80, DEFAULT_BUDGET):
+        with pytest.raises(IndeterminateError, match="no translation lift of the stabilizer"):
+            d_affine(stab, budget)
+
+
+def test_d_affine_builds_each_translation_once(monkeypatch):
+    import gen32.gens
+
+    built = []
+
+    def recording(field, dim, codes):
+        for u in codes:
+            built.append(u)
+            yield from translations(field, dim, (u,))
+
+    monkeypatch.setattr(gen32.gens, "translations", recording)
+    with pytest.raises(IndeterminateError):
+        d_affine(minus_one_over_gf9())
+    assert built == list(range(1, 9))
+    built.clear()
+    d_affine(s0_group(5))
+    assert built == [1]
+
+
 def translation_by_field_arithmetic(G0, u):
     """v -> v + u through FieldElement addition: the reference for the
     digit-wise translations."""
