@@ -42,10 +42,14 @@ Element enumeration, when a task genuinely needs it, is a breadth-first
 closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
 
-An element of a group is keyed by its base images: its images of the
-base points of a chain, ``g.images_of(base)``.  Only the identity of the
-group fixes every base point, so the key determines the element.  Keys
-compose without a degree-n product: key(x * g) = g.images_of(key(x)).
+An element of a group is keyed by its images of a list of points S that
+begins with a base: ``g.images_of(S)``.  Only the identity of the group
+fixes every base point, so the key determines the element.  Keys compose
+without a degree-n product: key(x * g) = g.images_of(key(x)).  S is
+the base of a chain followed by the points g^-1[b], for g a generator
+and b a base point, not already listed, so one key also gives the base
+images of every conjugate by a generator:
+key(g^-1 x g)[i] = g[x[g^-1[b_i]]] for the i-th base point b_i.
 Element enumeration, conjugacy classes, coset labels and the d search
 all run on one keyed enumeration of the group (``KeyedElements``).  It
 builds no degree-n product: a ``Perm`` is built, from the chain's
@@ -53,22 +57,19 @@ transversals, only for an element a caller asks for.  Keys are gathered
 a layer at a time: the keys of a whole breadth-first layer, laid end to
 end, are mapped by a generator in one gather, and so are the keys of a
 subgroup by a coset representative; conjugation acts on element numbers
-through one integer map per generator, gathered column by column.
-
-Conjugacy needs each element's images of the points S = base + {g^-1[b] : g a
-generator, b a base point}, since key(g^-1 x g)[i] = g[x[g^-1[b_i]]].
-They follow from the enumeration's tree, as S is closed under right
-multiplication by a generator: (x * g)[p] = g[x[p]].
+through one integer map per generator, gathered column by column from
+the keys.
 
 The enumeration reads a chain whose base is lex-least: each base point
 b_(i+1) is the least point moved by the stabilizer of b_1 .. b_i.  Two
 distinct elements g and h then first differ at a base point (g^-1 h lies
 in some such stabilizer and moves its next base point, while every
 smaller point outside the base is fixed by that whole stabilizer), so
-sorting keys sorts the elements by image tuples.  The group's own chain
-is used when its base is lex-least, which each level shows by its strong
-generators' least moved point being its base point; otherwise the
-enumeration builds a chain with the lex-least base forced.
+sorting keys, which begin with the base images, sorts the elements by
+image tuples.  The group's own chain is used when its base is lex-least,
+which each level shows by its strong generators' least moved point being
+its base point; otherwise the enumeration builds a chain with the
+lex-least base forced.
 
 The subgroup census (``subgroups_up_to_conjugacy``) works one conjugacy
 class at a time: a subgroup is generated by a maximal subgroup of it and
@@ -474,77 +475,55 @@ def chain_from_stabilizer(
 
 
 class KeyedElements:
-    """Every element of a group, enumerated on base-image keys.
+    """Every element of a group, enumerated on keys.
 
-    Elements are numbered in enumeration order: a breadth-first closure
-    from the identity under right multiplication by the generators, each
-    new layer sorted by key.  ``keys[i]`` is the i-th element's images of
-    ``base``, the base of a lex-least chain.  Each element i > 0 was first
-    reached as parent[i] * g for the generator g numbered via[i].
+    ``base`` is the point list S of the module docstring: the base of a
+    lex-least chain, then each generator's preimages of its points.
+    ``keys[i]`` is the i-th element's images of S; its first
+    ``len(chain.base)`` entries, the element's base images, already
+    determine it and order it.  Elements are numbered in enumeration
+    order: a breadth-first closure from the identity under right
+    multiplication by the generators, each new layer sorted by key.
     ``perm(i)`` builds the i-th element on first request and keeps it.
     """
 
-    __slots__ = (
-        "chain",
-        "base",
-        "keys",
-        "_gens",
-        "_parent",
-        "_via",
-        "_layers",
-        "_perms",
-        "_by_key",
-        "_classes",
-        "_orders",
-    )
+    __slots__ = ("chain", "base", "keys", "_gens", "_perms", "_by_key", "_classes", "_orders")
 
     def __init__(self, group: PermGroup):
         self.chain = group.lex_least_chain()
-        base = self.chain.base
-        width = len(base)
         gens = [g.images for g in group.generators if not g.is_identity()]
+        at = self.chain.base
+        points = list(at)
+        for g in gens:
+            points.extend(p for p in map(g.index, at) if p not in points)
+        base = tuple(points)
+        width = len(base)
         keys = [base]
         seen = {base}
-        parent = array("l", [0])
-        via = array("l", [0])
-        ngens = len(gens)
-        layers = [0]
         start = 0
         while start < len(keys):
             end = len(keys)
             flat = list(chain.from_iterable(keys[start:end]))
-            # the keys the layer reaches, parent by parent and generator
-            # by generator, from one gather per generator
-            moved = [_gather(g, flat, width, end - start) for g in gens]
-            reached = list(chain.from_iterable(zip(*moved)))
-            # each key at the position of its first arrival, from the least
-            # parent and then generator: of repeated keys a dict keeps the
-            # last, so it is built backwards
-            first = dict(zip(reversed(reached), range(len(reached) - 1, -1, -1)))
-            found = sorted(first.keys() - seen)
-            at = list(map(first.__getitem__, found))
+            # the keys the layer reaches, one gather per generator
+            reached = set(chain.from_iterable(_gather(g, flat, width, end - start) for g in gens))
+            found = sorted(reached - seen)
             seen.update(found)
             keys.extend(found)
-            parent.extend(start + a // ngens for a in at)
-            via.extend(a % ngens for a in at)
-            layers.append(end)
             start = end
         self.base = base
         self.keys = keys
         self._gens = gens
-        self._parent = parent
-        self._via = via
-        self._layers = layers
         self._perms: list[Perm | None] = [None] * len(keys)
         self._by_key: array | None = None
         self._classes: list[list[int]] | None = None
         self._orders: list[int] | None = None
 
     def perm(self, i: int) -> Perm:
-        """The i-th element, built from its key (``StabChain.element``)."""
+        """The i-th element, sifted from its base images
+        (``StabChain.element``)."""
         p = self._perms[i]
         if p is None:
-            p = self._perms[i] = self.chain.element(self.keys[i])
+            p = self._perms[i] = self.chain.element(self.keys[i][: len(self.chain.levels)])
         return p
 
     def perms(self) -> list[Perm]:
@@ -564,35 +543,24 @@ class KeyedElements:
         """Conjugacy classes as element numbers, each in key order,
         ordered by their least member.
 
-        A conjugate g^-1 x g is found by its key, g[x[g^-1[b_i]]].  So
-        each element's images of S (see the module docstring) are read
-        off its parent's, (x * g)[p] = g[x[p]], a breadth-first layer at
-        a time, and the images of the points g^-1[b_i] are picked out of
-        them.
+        A conjugate g^-1 x g is found by its base images,
+        g[x[g^-1[b_i]]]: every point g^-1[b_i] lies in S, so x's images
+        of them are columns of the keys, and g maps each column in one
+        gather.
         """
         if self._classes is None:
-            keys, gens, parent, via = self.keys, self._gens, self._parent, self._via
-            index = {key: i for i, key in enumerate(keys)}
-            points = list(self.base)
-            for g in gens:
-                points.extend(p for p in map(g.index, self.base) if p not in points)
-            width = len(points)
-            images = [tuple(points)]
-            bounds = self._layers
-            # the parents of layer [mid, hi) are in layer [lo, mid)
-            for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
-                flat = list(chain.from_iterable(images[lo:mid]))
-                moved = [_gather(g, flat, width, mid - lo) for g in gens]
-                images.extend([moved[via[j]][parent[j] - lo] for j in range(mid, hi)])
+            keys, base, points = self.keys, self.chain.base, self.base
+            width = len(base)
+            index = {key[:width]: i for i, key in enumerate(keys)}
             # columns[p]: every element's image of the p-th point of S
-            columns = list(zip(*images))
+            columns = list(zip(*keys))
             # per generator g, the number of each element's conjugate
             # g^-1 x g, from the columns of the points g^-1[b_i]
             conjugate = [
                 list(map(index.__getitem__, zip(*(
-                    _take(g, columns[points.index(g.index(b))]) for b in self.base
+                    _take(g, columns[points.index(g.index(b))]) for b in base
                 ))))
-                for g in gens
+                for g in self._gens
             ]
             # number the classes by their least members, then list each
             # class's members in key order
@@ -1006,11 +974,11 @@ class ElementTable:
 
     Elements are sorted lexicographically and addressed by index, so ids
     are canonical for the group as a set.  Rows of the multiplication
-    table are built on first use, from base-image keys: the id of e * f
-    is looked up by f.images_of(key(e)), without a product.  Its one
-    client is the subgroup census, ``subgroups_up_to_conjugacy``, which
-    calls ``closure`` once per extension it tries and ``conjugate_set``
-    once per element for each class it finds.
+    table are built on first use, from keys (``KeyedElements``): the id
+    of e * f is looked up by f.images_of(key(e)), without a product.  Its
+    one client is the subgroup census, ``subgroups_up_to_conjugacy``,
+    which calls ``closure`` once per extension it tries and
+    ``conjugate_set`` once per element for each class it finds.
     """
 
     __slots__ = ("group", "elements", "index", "_base", "_by_key", "_rows", "_inv", "_id")

@@ -341,7 +341,31 @@ def test_keyed_enumeration_matches_oracles_without_a_lex_least_base(make):
             assert list(ca.coset_of.items()) == list(coset_of.items())
         # the enumeration's chain is lex-least; the group's own is kept
         assert G.chain().base == base
-        assert G.keyed().base != base
+        assert G.keyed().chain.base != base
+
+
+def test_classes_read_the_keys_without_a_gather(monkeypatch):
+    # every key holds the images of the points g^-1[b] that a conjugate's
+    # base images are read from, so the classes need no second pass
+    groups = [agl1(13), sl2(5).perm_group("all"), *stabilizers_by_witness()]
+    groups += random_groups_without_a_lex_least_base()
+    gathers = []
+    real = permgroup._gather
+
+    def counting(*args):
+        gathers.append(args)
+        return real(*args)
+
+    for G in groups:
+        keyed = G.keyed()
+        width = len(keyed.chain.base)
+        assert keyed.base[:width] == keyed.chain.base
+        for i, key in enumerate(keyed.keys):
+            assert key[:width] == keyed.perm(i).images_of(keyed.chain.base)
+        monkeypatch.setattr(permgroup, "_gather", counting)
+        assert [[keyed.perm(i) for i in cls] for cls in keyed.classes()] == classes_by_definition(G)
+        monkeypatch.setattr(permgroup, "_gather", real)
+    assert gathers == []
 
 
 def test_witnesses_match_reference_without_a_lex_least_base():
