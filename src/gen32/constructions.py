@@ -40,14 +40,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
-from .field import FieldSpec, field_make, prime_power
-from .matgroup import (
-    MatrixF,
-    MatrixGroup,
-    POINT_LIMIT,
-    add_codes,
-    matrix_group_from_text,
-)
+from .field import POINT_LIMIT, FieldSpec, add_codes, field_make, prime_power
+from .matgroup import MatrixF, MatrixGroup, matrix_group_from_text
 from .permgroup import Perm, PermGroup, StabChain, build_chain, chain_from_stabilizer
 
 DATA_ENV = "GEN32_DATA_DIR"
@@ -313,6 +307,8 @@ def _sl2_field(p: int) -> FieldSpec:
 def _z_group_check(m: int, n: int, r: int) -> None:
     if m < 1 or n < 1:
         raise PreconditionError("z_group needs m, n >= 1")
+    if m * n > POINT_LIMIT:
+        raise PreconditionError(f"point count {m * n} exceeds cap {POINT_LIMIT}")
     if not 1 <= r <= m:
         raise PreconditionError(f"z_group twist r must satisfy 1 <= r <= m, got {r}")
     if gcd(m, n) != 1:

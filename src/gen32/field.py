@@ -15,10 +15,11 @@ group (GF(2) degenerately uses its identity, code 1).
 
 The engine computes on codes: ``FieldSpec.ops`` adds, subtracts,
 negates, multiplies and inverts codes, by plain arithmetic mod p in a
-prime field and through log/antilog and Zech-logarithm tables of size q,
-built on first use, for m > 1.  ``FieldElement`` is the wrapper for
-parsing and the public API, and its polynomial arithmetic is the
-reference the code arithmetic is tested against.
+prime field.  For m > 1 it adds codes digit by digit (``add_codes``, the
+one sum of codes, which also adds vectors) and multiplies them through
+log/antilog tables of size q, built on first use.  ``FieldElement`` is
+the wrapper for parsing and the public API, and its polynomial
+arithmetic is the reference the code arithmetic is tested against.
 
 ``POINT_LIMIT`` bounds the field order as it bounds a permutation
 action's point set: ``field_make`` refuses p^m > ``POINT_LIMIT`` before
@@ -41,19 +42,9 @@ POINT_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test for small n."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic primality test for small n: n is its own only prime
+    divisor."""
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -214,6 +205,25 @@ def _code(coeffs: Sequence[int], p: int) -> int:
     return acc
 
 
+def add_codes(p: int, a: int, b: int) -> int:
+    """The code of the sum of the field elements (or vectors) of codes a
+    and b over a field of characteristic p.
+
+    Codes are base-p digit strings of the coordinates' polynomial
+    coefficients, so the sum adds them digit by digit mod p; for p = 2
+    that is XOR.
+    """
+    if p == 2:
+        return a ^ b
+    out, weight = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + y) % p * weight
+        weight *= p
+    return out
+
+
 def _primitive_code(p: int, m: int, modulus: Sequence[int] | None) -> int:
     """The code of the canonical primitive element of GF(p^m): the least
     code >= 2 of multiplicative order q - 1 (for q = 2, the identity,
@@ -260,23 +270,24 @@ class PrimeCodes:
 
 
 class LogTableCodes:
-    """Arithmetic on the codes of GF(p^m), m > 1, through logarithms to
-    the base of the canonical primitive element g (code ``primitive``).
+    """Arithmetic on the codes of GF(p^m), m > 1.  Sums add the codes
+    digit by digit (``add_codes``); products and inverses go through
+    logarithms to the base of the canonical primitive element g (code
+    ``primitive``).
 
     ``_log[c]`` is the logarithm of a nonzero code c and ``_exp[k]`` the
-    code of g^k.  A sum uses Zech logarithms: g^i + g^j = g^(i + z) for
-    z = ``_zech[j - i]``, the logarithm of 1 + g^(j - i), which is None
-    when 1 + g^(j - i) = 0.  Both tables hold their q - 1 entries twice
-    over, so a sum of two logarithms needs no reduction and a negative
-    index wraps modulo q - 1.  -1 is g^half, with half = (q - 1) / 2 for
-    odd p and 0 in characteristic 2.
+    code of g^k.  ``_exp`` holds its q - 1 entries twice over, so a sum
+    of two logarithms needs no reduction and a negative index wraps
+    modulo q - 1.  -1 is g^half, with half = (q - 1) / 2 for odd p and 0
+    in characteristic 2.
     """
 
-    __slots__ = ("primitive", "_log", "_exp", "_zech", "_half")
+    __slots__ = ("p", "primitive", "_log", "_exp", "_half")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         q = p**m
         n = q - 1
+        self.p = p
         self.primitive = _primitive_code(p, m, modulus)
         g = _ptrim(_digits(self.primitive, p, m))
         log: list[int | None] = [None] * q
@@ -287,36 +298,15 @@ class LogTableCodes:
             exp[k] = code
             log[code] = k
             x = _pmod(_pmul(x, g, p), modulus, p)
-        zech: list[int | None] = [None] * n
-        for k, code in enumerate(exp):
-            # add 1 to the constant coefficient, the lowest base-p digit
-            one_plus = code - code % p + (code + 1) % p
-            zech[k] = log[one_plus]
         self._log = log
         self._exp = exp * 2
-        self._zech = zech * 2
         self._half = n // 2 if p != 2 else 0
 
     def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self._log
-        i = log[a]
-        z = self._zech[log[b] - i]
-        return 0 if z is None else self._exp[i + z]
+        return add_codes(self.p, a, b)
 
     def sub(self, a: int, b: int) -> int:
-        if not b:
-            return a
-        log = self._log
-        j = log[b] + self._half  # -b = g^j
-        if not a:
-            return self._exp[j]
-        i = log[a]
-        z = self._zech[j - i]
-        return 0 if z is None else self._exp[i + z]
+        return add_codes(self.p, a, self.neg(b))
 
     def neg(self, a: int) -> int:
         return self._exp[self._log[a] + self._half] if a else 0
@@ -424,7 +414,9 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
     """
     if m < 1:
         raise PreconditionError(f"field degree must be >= 1, got {m}")
-    if p**m > POINT_LIMIT:
+    # an exponent past the cap's bit length overflows it for any |p| >= 2,
+    # so p**m is never formed for it
+    if abs(p) >= 2 and m > POINT_LIMIT.bit_length() or p**m > POINT_LIMIT:
         raise PreconditionError(f"field order {p}^{m} exceeds cap {POINT_LIMIT}")
     if not is_prime(p):
         raise PreconditionError(f"field characteristic must be prime, got {p}")

@@ -37,7 +37,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import POINT_LIMIT, CodeOps, FieldElement, FieldSpec, field_make
+from .field import POINT_LIMIT, CodeOps, FieldElement, FieldSpec, add_codes, field_make
 from .permgroup import Perm, PermGroup
 
 
@@ -155,25 +155,6 @@ def decode_vector(field: FieldSpec, dim: int, code: int) -> tuple[FieldElement, 
     if code:
         raise PreconditionError("vector code out of range")
     return tuple(out)
-
-
-def add_codes(p: int, a: int, b: int) -> int:
-    """The code of the sum of the vectors (or field elements) of codes a
-    and b over a field of characteristic p.
-
-    Codes are base-p digit strings of the coordinates' polynomial
-    coefficients, so the sum adds them digit by digit mod p; for p = 2
-    that is XOR.
-    """
-    if p == 2:
-        return a ^ b
-    out, weight = 0, 1
-    while a or b:
-        a, x = divmod(a, p)
-        b, y = divmod(b, p)
-        out += (x + y) % p * weight
-        weight *= p
-    return out
 
 
 def apply_vector(vec: Sequence[FieldElement], M: MatrixF) -> tuple[FieldElement, ...]:

@@ -300,12 +300,7 @@ class StabChain:
 
     def contains(self, g: Perm) -> bool:
         # g may lie outside the group, so it is compared at every point
-        if g.degree != self.degree:
-            return False
-        divisors, depth = self.sift(list(g.images_of(self.base)))
-        return depth == len(self.levels) and g.images == _compose(
-            [tuple(range(self.degree)), *reversed(divisors)]
-        )
+        return g.degree == self.degree and self.element(g.images_of(self.base)) == g
 
 
 def _compose(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -714,9 +709,9 @@ class PermGroup:
         as a sorted list; the group itself when Omega is every point.
 
         Omega contains a base, so the action is faithful.  The relabelling
-        keeps the order of points, so the lex-least chain, restricted to
-        Omega and relabelled, is a lex-least chain of the action, which is
-        given it and needs no Schreier-Sims run: keys keep their order,
+        keeps the order of points, so the relabelled lex-least base is a
+        lex-least base of the action, and its chain is built on that base,
+        which also decides its Schreier generators: keys keep their order,
         and the keyed enumeration and its classes number the elements as
         on the group itself.
         """
@@ -731,24 +726,10 @@ class PermGroup:
         label = [0] * self.degree
         for i, x in enumerate(points):
             label[x] = i
-        restricted: dict[int, Perm] = {}
-
-        def restrict(g: Perm) -> Perm:
-            if id(g) not in restricted:
-                restricted[id(g)] = Perm._raw(_take(label, _take(g.images, points)))
-            return restricted[id(g)]
-
-        levels = []
-        for level in chain.levels:
-            lv = _Level(label[level.point])
-            lv.gens = [restrict(g) for g in level.gens]
-            lv.orbit = [label[x] for x in level.orbit]
-            lv.transversal = {label[x]: restrict(u) for x, u in level.transversal.items()}
-            levels.append(lv)
-        action = PermGroup._with_base(
-            len(points), [restrict(g) for g in self.generators], _take(label, chain.base)
-        )
-        action._chain = StabChain(len(points), levels)
+        gens = [Perm._raw(_take(label, _take(g.images, points))) for g in self.generators]
+        base = _take(label, chain.base)
+        action = PermGroup._with_base(len(points), gens, base)
+        action._chain = build_chain(len(points), gens, base, base)
         return action, points
 
     def keyed(self) -> KeyedElements:
@@ -800,7 +781,7 @@ class PermGroup:
         return self._orbits
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return len(self.orbits()) == 1
 
     def point_stabilizer(self, alpha: int) -> PermGroup:
         """The stabilizer of a point, read off a chain based at it: the

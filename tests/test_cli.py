@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,6 +82,31 @@ def test_construct_precondition_failure_is_exit_3(capsys):
     assert code == 3
     code, _, _ = run_cli(capsys, "construct", "zgroup", "--m", "4", "--n", "2", "--r", "1")
     assert code == 3
+
+
+def test_zgroup_over_the_point_cap_is_exit_3(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "zgroup", "--m", "1000003", "--n", "2", "--r", "1000002"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "point count 2000006 exceeds cap" in err
+
+
+def test_data_file_header_over_the_field_cap_is_exit_3_at_once(tmp_path, capsys, monkeypatch):
+    import gen32.constructions as cons
+
+    (tmp_path / "table1_G1.mat").write_text("3 100000000 2\n1 0\n0 1\n")
+    monkeypatch.setenv("GEN32_DATA_DIR", str(tmp_path))
+    monkeypatch.setattr(cons, "_TABLE_CACHE", {})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "table1", "--i", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "exceeds cap" in err
 
 
 @pytest.mark.parametrize("q", [3**11, 3**13, 3**19])

@@ -483,6 +483,20 @@ def test_z_group_invalid_parameters(m, n, r):
         z_group(m, n, r)
 
 
+@pytest.mark.parametrize("make", [z_group, z_group_kernel_action])
+def test_z_group_over_the_point_cap_is_refused_before_any_list(make):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="exceeds cap"):
+            make(1000003, 2, 1000002)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # an image list of 10^6 points takes megabytes
+
+
 def test_z_group_kernel_action():
     G = z_group_kernel_action(7, 3, 2)
     assert G.degree == 7

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -217,6 +218,27 @@ def test_code_arithmetic_matches_field_elements(q):
         ops.inv(0)
 
 
+@pytest.mark.parametrize("q", [4, 9, 49, 81])
+def test_extension_field_sums_go_through_add_codes(monkeypatch, q):
+    from gen32 import field
+
+    f = field_make.__wrapped__(*prime_power(q))
+    calls = []
+    add_codes = field.add_codes
+
+    def counted(p, a, b):
+        calls.append(p)
+        return add_codes(p, a, b)
+
+    monkeypatch.setattr(field, "add_codes", counted)
+    ops = f.ops
+    for a in range(q):
+        for b in range(q):
+            assert ops.add(a, b) == add_codes(f.p, a, b)
+            assert ops.sub(a, b) == add_codes(f.p, a, ops.neg(b))
+    assert calls == [f.p] * (2 * q * q)
+
+
 def test_field_make_builds_no_tables():
     f = field_make.__wrapped__(7, 2)
     assert "ops" not in vars(f)
@@ -239,15 +261,20 @@ def test_code_tables_are_capped():
     assert primitive_element(f).code == 3
 
 
-@pytest.mark.parametrize("p,m", [(3, 19), (2, 31), (1000003, 1), (10**18 + 3, 1)])
+@pytest.mark.parametrize(
+    "p,m", [(3, 19), (2, 31), (1000003, 1), (10**18 + 3, 1), (3, 10**8)]
+)
 def test_field_make_refuses_fields_over_the_point_cap_first(monkeypatch, p, m):
     def refuse(*args):
         raise AssertionError("primality test or modulus scan ran for a field over the cap")
 
     monkeypatch.setattr("gen32.field.is_prime", refuse)
     monkeypatch.setattr("gen32.field._poly_is_irreducible", refuse)
+    start = time.perf_counter()
     with pytest.raises(PreconditionError, match="exceeds cap"):
         field_make(p, m)
+    # 3^(10^8) alone would take minutes to compute
+    assert time.perf_counter() - start < 1
 
 
 def test_field_make_accepts_a_prime_field_at_the_point_cap():

@@ -5,11 +5,10 @@ import pytest
 
 from gen32.constructions import table1_matrix_group, table2_matrix_group
 from gen32.errors import PreconditionError
-from gen32.field import FieldSpec, field_make, prime_power
+from gen32.field import FieldSpec, add_codes, field_make, prime_power
 from gen32.matgroup import (
     MatrixF,
     MatrixGroup,
-    add_codes,
     apply_vector,
     decode_vector,
     encode_vector,

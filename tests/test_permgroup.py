@@ -610,6 +610,44 @@ def test_action_on_base_orbits_is_faithful_and_keeps_the_key_order():
     assert checked >= 50
 
 
+def test_action_on_base_orbits_builds_one_chain_on_the_relabelled_base(monkeypatch):
+    import gen32.permgroup as permgroup
+
+    # Sym({1, 3, 4}) on six points, and S_0(7) on all 49 vectors
+    sym = PermGroup(6, [Perm.from_cycles(6, [(1, 3)]), Perm.from_cycles(6, [(1, 3, 4)])])
+    groups = [sym, s0_group(7).perm_group("all")]
+    for G in groups:
+        G.lex_least_chain()
+    calls = []
+    real = permgroup.build_chain
+
+    def spy(degree, generators, initial_base=(), known_base=None):
+        calls.append((degree, tuple(initial_base), known_base))
+        return real(degree, generators, initial_base, known_base)
+
+    monkeypatch.setattr(permgroup, "build_chain", spy)
+    for G in groups:
+        calls.clear()
+        action, points = G.on_base_orbits()
+        base = tuple(points.index(b) for b in G.lex_least_chain().base)
+        assert calls == [(len(points), base, base)]
+        assert action.chain().base == base and action.order() == G.order()
+    action, points = sym.on_base_orbits()
+    assert (points, action.chain().base) == ([1, 3, 4], (0, 1))
+
+
+def test_is_transitive_reads_the_cached_orbits(monkeypatch):
+    groups = [symmetric_group(4), PermGroup(4, [Perm.from_cycles(4, [(0, 1)])])]
+    for G in groups:
+        G.orbits()
+
+    def refuse(self, alpha):
+        raise AssertionError("orbit searched again")
+
+    monkeypatch.setattr(PermGroup, "orbit", refuse)
+    assert [G.is_transitive() for G in groups] == [True, False]
+
+
 def test_elements_sorted_lex_first_is_identity():
     G = symmetric_group(4)
     elems = G.elements()

@@ -56,6 +56,18 @@ def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys):
     assert json.loads(outputs["analyze zgroup --m 1 --n 4 --r 1"])["d"]["value"] == 1
 
 
+def test_readme_size_cap_examples(capsys):
+    start = README.index("\n### Size caps\n")
+    section = README[start : README.index("\n### ", start + 1)]
+    over_the_point_cap, over_the_element_cap = re.findall(r"`gen32 ([^`]+)`", section)
+    assert main(shlex.split(over_the_point_cap)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "exceeds cap" in captured.err
+    assert main(shlex.split(over_the_element_cap)) == 0
+    assert "indeterminate" in json.loads(capsys.readouterr().out)["d"]
+
+
 def test_readme_library_quick_start_prints_its_comments(capsys):
     (block,) = _blocks(_section("Library quick start"), "python")
     exec(block, {})
