@@ -35,6 +35,7 @@ every construction is bit-reproducible.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -89,6 +90,14 @@ def translations(field: FieldSpec, dim: int, codes: Iterable[int]) -> Iterator[P
         yield Perm([add_codes(p, v, u) for v in points])
 
 
+@lru_cache(maxsize=None)
+def _basis_translation(field: FieldSpec, dim: int, code: int) -> Perm:
+    """The translation by a GF(p)-basis code p^k, built once per field,
+    dimension and code: every affine group over the same space shares
+    it."""
+    return next(translations(field, dim, (code,)))
+
+
 def translation_perms(field: FieldSpec, dim: int) -> list[Perm]:
     """The dim standard-basis translations v -> v + e_i on vector codes;
     e_i has code q^i.  They generate V only over a prime field; over
@@ -97,7 +106,7 @@ def translation_perms(field: FieldSpec, dim: int) -> list[Perm]:
     total = q**dim
     if total > POINT_LIMIT:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
-    return list(translations(field, dim, (q**i for i in range(dim))))
+    return [_basis_translation(field, dim, q**i) for i in range(dim)]
 
 
 def extend_fixing_zero(g: Perm) -> Perm:
@@ -165,7 +174,7 @@ class _AffineGroup(PermGroup):
             _check_additive(field.p, g)
         for k in range(field.m * dim):
             if k % field.m and field.p**k not in PermGroup(total, gens).orbit(0):
-                gens += translations(field, dim, (field.p**k,))
+                gens.append(_basis_translation(field, dim, field.p**k))
         super().__init__(total, gens)
         self._linear = linear
         self._linear_base = tuple(field.p**k for k in range(field.m * dim))

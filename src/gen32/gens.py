@@ -24,7 +24,11 @@ computed: the tuple must be transitive on every orbit of G (its orbits
 refine G's, as it is drawn from G, so this says they are G's), and its
 image in the abelianization G/[G,G] must generate the abelianization
 (checked by ranks over each prime).  Both are conditions every
-generating tuple satisfies, so no witness is ever filtered away.  A
+generating tuple satisfies, so no witness is ever filtered away.  The
+orbit filter builds no group per candidate: the group P of the prefix
+is fixed for the whole last-slot scan, so its orbits are found once,
+for the first candidate tested, and each candidate x grows every orbit
+of <P, x> by whole orbits of P (``PermGroup.orbit_length_with``).  A
 candidate that passes both is accepted when its Schreier-Sims order is
 |G|, and the returned witness is checked once more by ``generates``.
 
@@ -55,7 +59,9 @@ indeterminate (an error, never a guess).
 ``d_affine`` computes d(V . G0) for G0 irreducible over GF(q) without
 searching the affine group: it lifts a minimal G0 witness through the
 translations, one slot and then two at a time (two only when V is
-reducible over GF(p)), and verifies generation directly.
+reducible over GF(p)), and verifies generation directly.  When no lift
+generates, it searches V . G0 itself with ``d_exact``, if V . G0 is
+within the enumeration cap.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .constructions import affine_group, extend_fixing_zero, translations
 from .errors import IndeterminateError, PreconditionError
 from .field import is_prime, prime_factors
 from .matgroup import MatrixGroup, is_irreducible
-from .permgroup import Perm, PermGroup, coset_action, derived_subgroup
+from .permgroup import ELEMENT_LIMIT, Perm, PermGroup, coset_action, derived_subgroup
 
 DEFAULT_BUDGET = 10**8
 PREFIX_SET_LIMIT = 4096
@@ -237,10 +243,12 @@ class _Search:
         ab_size = self.n // D.order()
         self._ab = _AbelianFilter(G, D) if 1 < ab_size <= ABELIAN_FILTER_LIMIT else None
 
-    def _has_orbits_of_G(self, H: PermGroup) -> bool:
-        """Whether a subgroup H of G has G's orbits: H's orbits refine
-        G's, so it must only be transitive on G's non-singleton orbits."""
-        return all(len(H.orbit(o[0])) == len(o) for o in self._orbits)
+    def _joins_orbits(self, P: PermGroup, g: Perm) -> bool:
+        """Whether <P, g>, for a subgroup P of G and g in G, has G's
+        orbits: its orbits refine G's, so it must only be transitive on
+        G's non-singleton orbits, each grown by whole orbits of P
+        (``PermGroup.orbit_length_with``)."""
+        return all(P.orbit_length_with(g, o[0]) == len(o) for o in self._orbits)
 
     def run_level(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
         """First witness of size exactly k, or None; honors the test
@@ -271,6 +279,7 @@ class _Search:
         if remaining == 1:
             good = ab.good_last(span) if span is not None else None
             perms = tuple(keyed.perm(i) for i in prefix)
+            P = None  # the prefix group, built for the first candidate tested
             for i in slots:
                 key = keys[i]
                 if sub is not None and key in sub:
@@ -281,10 +290,11 @@ class _Search:
                 self.tests += 1
                 if good is not None and ab.phi[key] not in good:
                     continue
-                cand = perms + (keyed.perm(i),)
-                H = self.G.subgroup(cand)
-                if self._has_orbits_of_G(H) and H.order() == self.n:
-                    return cand
+                x = keyed.perm(i)
+                if P is None:
+                    P = self.G.subgroup(perms)
+                if self._joins_orbits(P, x) and self.G.subgroup(perms + (x,)).order() == self.n:
+                    return perms + (x,)
             return None
         for i in slots:
             if sub is not None and keys[i] in sub:
@@ -381,8 +391,11 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     V^m, and one holding every one-slot lift would be all of V^m, which
     Gaschutz's lemma rules out.  Two slots are needed only when V is
     irreducible over GF(q) but not over GF(p), as for S_0(3) in GL(2, 9).
-    For <-1> in GL(1, 9) no lift generates (d = 3); running out of lifts
-    or of the budget raises IndeterminateError.
+    For <-1> in GL(1, 9) no lift generates, as d = 3 there: when no lift
+    generates, d is searched on V . G0 itself (``d_exact``, with the same
+    budget) if its order is within the enumeration cap, and otherwise
+    IndeterminateError is raised, as it is when the lifts exhaust the
+    budget.
     """
     if not is_irreducible(G0):
         raise PreconditionError("d_affine needs an irreducible stabilizer")
@@ -410,6 +423,8 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
                     cand[j] = cand[j] * shifts[u]
                 if generates(A, cand):
                     return DResult(value, GenTuple(tuple(cand), True), METHOD_SHORTCUT)
+    if A.order() <= ELEMENT_LIMIT:
+        return d_exact(A, budget)
     raise IndeterminateError("no translation lift of the stabilizer witness generates")
 
 

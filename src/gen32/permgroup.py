@@ -74,7 +74,13 @@ lex-least base forced.
 The subgroup census (``subgroups_up_to_conjugacy``) works one conjugacy
 class at a time: a subgroup is generated by a maximal subgroup of it and
 one element of prime-power order, so extending one representative per
-class by the prime-power-order cyclic subgroups reaches every class.
+class by the prime-power-order cyclic subgroups reaches every class.  It
+runs on the element ids of an ``ElementTable``, whose rows, the right
+multiplication by one element, are each one gather of keys.  A subgroup
+is closed by Dimino's method, a whole right coset of the part found so
+far at a time, each coset one gather of a row; and a new subgroup's
+conjugacy class is its orbit under conjugation by G's generators, an id
+map per generator applied to a whole id set in one gather.
 """
 
 from __future__ import annotations
@@ -623,6 +629,7 @@ class PermGroup:
         "_stabs",
         "_keyed",
         "_orbits",
+        "_orbit_of",
     )
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -643,6 +650,7 @@ class PermGroup:
         self._stabs: dict[int, PermGroup] = {}
         self._keyed: KeyedElements | None = None
         self._orbits: list[list[int]] | None = None
+        self._orbit_of: list[int] = []
 
     @classmethod
     def _with_base(cls, degree: int, generators: Iterable[Perm], base: Sequence[int]) -> PermGroup:
@@ -771,14 +779,52 @@ class PermGroup:
     def orbits(self) -> list[list[int]]:
         """All orbits, each sorted, ordered by their smallest point."""
         if self._orbits is None:
-            seen: set[int] = set()
-            out = []
-            for alpha in range(self.degree):
-                if alpha not in seen:
-                    out.append(self.orbit(alpha))
-                    seen.update(out[-1])
+            label = list(range(self.degree))
+            out = [[x] for x in label]
+            if not self.is_trivial():
+                label = [-1] * self.degree
+                out = []
+                for alpha in range(self.degree):
+                    if label[alpha] < 0:
+                        out.append(self.orbit(alpha))
+                        for x in out[-1]:
+                            label[x] = len(out) - 1
             self._orbits = out
+            self._orbit_of = label
         return self._orbits
+
+    def orbit_length_with(self, g: Perm, alpha: int) -> int:
+        """The length of the orbit of alpha under <self, g>.
+
+        That orbit is a union of orbits of this group, which are found
+        once (``orbits``): it is grown from alpha's by whole orbits, each
+        round mapping the points of the orbits it added by g in one pass
+        and adding the orbits their images lie in.  For a trivial group
+        it is alpha's cycle under g, walked point by point.
+        """
+        if not 0 <= alpha < self.degree or g.degree != self.degree:
+            raise PreconditionError(f"point {alpha} or element degree {g.degree} out of range")
+        orbits = self.orbits()
+        if len(orbits) == self.degree:
+            # this group is trivial, so the orbit is alpha's cycle under g
+            images = g.images
+            x, length = images[alpha], 1
+            while x != alpha:
+                x, length = images[x], length + 1
+            return length
+        label = self._orbit_of
+        # into[x]: the orbit that g maps x into
+        into = _take(label, g.images)
+        joined = {label[alpha]}
+        frontier = orbits[label[alpha]]
+        length = 0
+        while frontier:
+            length += len(frontier)
+            new = set(map(into.__getitem__, frontier))
+            new -= joined
+            joined |= new
+            frontier = list(chain.from_iterable(map(orbits.__getitem__, new)))
+        return length
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -954,15 +1000,21 @@ class ElementTable:
     """Id-indexed multiplication for a fully enumerated small group.
 
     Elements are sorted lexicographically and addressed by index, so ids
-    are canonical for the group as a set.  Rows of the multiplication
-    table are built on first use, from keys (``KeyedElements``): the id
-    of e * f is looked up by f.images_of(key(e)), without a product.  Its
-    one client is the subgroup census, ``subgroups_up_to_conjugacy``,
-    which calls ``closure`` once per extension it tries and
-    ``conjugate_set`` once per element for each class it finds.
+    are canonical for the group as a set.  ``_rows[y]``, built on first
+    use, is y's row of the right regular representation: the id of x * y
+    for every id x.  It is one gather, from keys (``KeyedElements``):
+    the base images of x * y are y.images_of(x's base images), so y maps
+    every element's base images, laid end to end, at once.  The inverse
+    of every element is read off its base images, x^-1[b] =
+    x.images.index(b), when the table is made.  Its one client is the
+    subgroup census, ``subgroups_up_to_conjugacy``, which calls
+    ``closure`` once per extension it tries and conjugates id sets by
+    whole gathers (``conjugate_set``, ``conjugation``).
     """
 
-    __slots__ = ("group", "elements", "index", "_base", "_by_key", "_rows", "_inv", "_id")
+    __slots__ = (
+        "group", "elements", "index", "_base", "_base_images", "_by_key", "_rows", "_inv", "_id"
+    )
 
     def __init__(self, group: PermGroup):
         if group.order() > SUBGROUP_CENSUS_LIMIT:
@@ -971,12 +1023,14 @@ class ElementTable:
             )
         self.group = group
         keyed = group.keyed()
+        base = self._base = keyed.chain.base
         self.elements = [keyed.perm(i) for i in keyed.by_key()]
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self._base = keyed.base
-        self._by_key = {keyed.keys[i]: r for r, i in enumerate(keyed.by_key())}
-        self._rows: list[list[int] | None] = [None] * len(self.elements)
-        self._inv: list[int | None] = [None] * len(self.elements)
+        keys = [e.images_of(base) for e in self.elements]
+        self._base_images = list(chain.from_iterable(keys))
+        self._by_key = {key: i for i, key in enumerate(keys)}
+        self._rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
+        self._inv = [self._by_key[tuple(map(e.images.index, base))] for e in self.elements]
         self._id = self.index[group.identity()]
 
     def __len__(self) -> int:
@@ -986,56 +1040,67 @@ class ElementTable:
     def identity_id(self) -> int:
         return self._id
 
-    def row(self, i: int) -> list[int]:
-        r = self._rows[i]
+    def row(self, y: int) -> tuple[int, ...]:
+        """The id of x * y for every id x."""
+        r = self._rows[y]
         if r is None:
-            key = self.elements[i].images_of(self._base)
-            by_key = self._by_key
-            r = [by_key[f.images_of(key)] for f in self.elements]
-            self._rows[i] = r
+            keys = _gather(self.elements[y].images, self._base_images, len(self._base), len(self))
+            r = self._rows[y] = tuple(map(self._by_key.__getitem__, keys))
         return r
 
     def mul(self, i: int, j: int) -> int:
-        return self.row(i)[j]
+        return self.row(j)[i]
 
     def inv(self, i: int) -> int:
-        v = self._inv[i]
-        if v is None:
-            v = self.index[self.elements[i].inv()]
-            self._inv[i] = v
-        return v
+        return self._inv[i]
 
     def closure(self, gen_ids: Sequence[int]) -> frozenset[int]:
-        """The subgroup generated by the given element ids, as an id set."""
-        seen = {self._id}
-        queue = [self._id]
+        """The subgroup generated by the given element ids, as an id set.
+
+        Dimino's closure: the subgroup H found so far is extended by each
+        generator g outside it to <H, g>, a union of right cosets H * y,
+        each gathered from y's row at H's ids.  The cosets are found from
+        g by right multiplication of their representatives by the
+        generators so far, until that gives no new coset.
+        """
+        found = [self._id]
+        members = {self._id}
+        gen_rows: list[tuple[int, ...]] = []
         for g in gen_ids:
-            if g not in seen:
-                seen.add(g)
-                queue.append(g)
-        k = 0
-        while k < len(queue):
-            x = queue[k]
-            row = self.row(x)
-            for g in gen_ids:
-                y = row[g]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-            k += 1
-        return frozenset(seen)
+            if g in members:
+                continue
+            gen_rows.append(self.row(g))
+            prior = tuple(found)
+            reps = [self._id]
+            for r in reps:
+                for row in gen_rows:
+                    y = row[r]
+                    if y not in members:
+                        coset = _take(self.row(y), prior)
+                        found.extend(coset)
+                        members.update(coset)
+                        reps.append(y)
+        return frozenset(found)
 
     def cyclic(self, i: int) -> frozenset[int]:
+        row = self.row(i)
         seen = {self._id}
         x = i
         while x not in seen:
             seen.add(x)
-            x = self.mul(x, i)
+            x = row[x]
         return frozenset(seen)
 
+    def conjugation(self, g: int) -> tuple[int, ...]:
+        """The id of g^-1 * x * g for every id x: x * g, inverted, times
+        g, inverted again, four gathers."""
+        row, inv = self.row(g), self._inv
+        return _take(inv, _take(row, _take(inv, row)))
+
     def conjugate_set(self, ids: frozenset[int], g: int) -> frozenset[int]:
-        gi = self.inv(g)
-        return frozenset(self.mul(self.mul(gi, x), g) for x in ids)
+        """g^-1 * ids * g, by the same four gathers at ids alone."""
+        row, inv = self.row(g), self._inv
+        return frozenset(_take(inv, _take(row, _take(inv, _take(row, ids)))))
 
 
 class SubgroupClass(NamedTuple):
@@ -1056,12 +1121,13 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[SubgroupClass]:
     S = <M, x>.  Conjugating S so that M becomes the representative of
     its class, every class is therefore reached from the trivial group
     by extending each class representative by one generator of every
-    prime-power-order cyclic subgroup it does not contain.  A subgroup
-    not seen before is conjugated by every element once and all its
-    conjugates are marked as seen.  The representative of a class is the
-    conjugate whose sorted element-id tuple is least, generated by the
-    discovering generators conjugated the same way; classes are
-    returned sorted by (order, that tuple).
+    prime-power-order cyclic subgroup it does not contain.  The
+    conjugates of a subgroup not seen before are its orbit under
+    conjugation by G's generators, and all of them are marked as seen.
+    The representative of a class is the conjugate whose sorted
+    element-id tuple is least, generated by the discovering generators
+    conjugated by the least id g that gives it, found by trying g
+    upward; classes are returned sorted by (order, that tuple).
     """
     table = ElementTable(G)
     n = len(table)
@@ -1077,14 +1143,23 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[SubgroupClass]:
     # per class: (sorted id tuple, generator ids, number of conjugates)
     classes: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
+    # per generator g of G, the id of g^-1 x g for every id x
+    conjugations = [table.conjugation(table.index[g]) for g in G.generators]
+
     def add_class(sub: frozenset[int], gens: tuple[int, ...]) -> None:
-        conjugates: dict[frozenset[int], int] = {}
-        for g in range(n):
-            conjugates.setdefault(table.conjugate_set(sub, g), g)
+        conjugates = {sub}
+        queue = [sub]
+        for c in queue:
+            for conj in conjugations:
+                d = frozenset(_take(conj, c))
+                if d not in conjugates:
+                    conjugates.add(d)
+                    queue.append(d)
         seen.update(conjugates)
-        key, g = min((tuple(sorted(c)), g) for c, g in conjugates.items())
-        g_inv = table.inv(g)
-        rep_gens = tuple(table.mul(table.mul(g_inv, x), g) for x in gens)
+        key = min(tuple(sorted(c)) for c in conjugates)
+        least = frozenset(key)
+        g = next(g for g in range(n) if table.conjugate_set(sub, g) == least)
+        rep_gens = _take(table.conjugation(g), gens)
         classes.append((key, rep_gens, len(conjugates)))
 
     add_class(frozenset((table.identity_id,)), ())

@@ -173,12 +173,13 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
 def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     """Every element of M0 of the given order, adjoined to G0's
     generators, must act transitively on the underlying points; the scan
-    is exhaustive and fails when no element has that order."""
+    is exhaustive and fails when no element has that order.  G0's
+    orbits are found once, and each candidate's orbit of point 0 is
+    grown by whole orbits of G0 (``PermGroup.orbit_length_with``)."""
     candidates = M0.elements_of_order(order_wanted)
     if not candidates:
         return False
-    base = tuple(G0.generators)
-    return all(PermGroup(M0.degree, base + (g,)).is_transitive() for g in candidates)
+    return all(G0.orbit_length_with(g, 0) == M0.degree for g in candidates)
 
 
 def verify_table2() -> list[ClaimVerdict]:

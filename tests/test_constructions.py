@@ -108,6 +108,18 @@ def test_translation_perms_gf9():
     assert A.is_transitive()  # so all 81 translations are present
 
 
+def test_affine_groups_over_one_space_share_their_basis_translations():
+    f = gf(9)
+    ts = translation_perms(f, 2)
+    again = translation_perms(f, 2)
+    # a fresh list each time, of the same translations, built once
+    assert again == ts and again is not ts
+    assert all(a is t for a, t in zip(again, ts))
+    A, B = affine_group(s0_group(9)), affine_group(s0_group(9))
+    assert all(a is b for a, b in zip(A.generators[:2], B.generators[:2]))
+    assert A.generators[:2] == tuple(ts)
+
+
 def test_extend_fixing_zero():
     g = Perm([1, 0, 2])
     e = extend_fixing_zero(g)

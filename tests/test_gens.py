@@ -508,7 +508,8 @@ def test_orbit_filter_matches_union_find_reference(seed):
         for _ in range(20):
             cand = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
             expected = orbit_count_by_union_find(G.degree, cand) == len(G.orbits())
-            assert search._has_orbits_of_G(PermGroup(G.degree, cand)) == expected, s
+            P = PermGroup(G.degree, cand[:-1])
+            assert search._joins_orbits(P, cand[-1]) == expected, s
             verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -946,9 +947,13 @@ def test_d_affine_finds_no_lift_for_minus_one_over_gf9():
     # 2 * 8 one-slot and 8 * 8 two-slot lifts, none generating
     with pytest.raises(IndeterminateError, match="translation-lift budget exhausted"):
         d_affine(stab, 79)
-    for budget in (80, DEFAULT_BUDGET):
-        with pytest.raises(IndeterminateError, match="no translation lift of the stabilizer"):
-            d_affine(stab, budget)
+    # then d is searched on V . G0 itself, with the same budget
+    with pytest.raises(IndeterminateError, match="budget 80 exhausted inside the size-2 scan"):
+        d_affine(stab, 80)
+    res = d_affine(stab)
+    assert res == d_exact(aff)
+    assert res.value == 3 and res.method == "exhaustive"
+    assert res.witness.verified and generates(aff, res.witness.elements)
 
 
 def test_d_affine_builds_each_translation_once(monkeypatch):
@@ -962,8 +967,7 @@ def test_d_affine_builds_each_translation_once(monkeypatch):
             yield from translations(field, dim, (u,))
 
     monkeypatch.setattr(gen32.gens, "translations", recording)
-    with pytest.raises(IndeterminateError):
-        d_affine(minus_one_over_gf9())
+    assert d_affine(minus_one_over_gf9()).value == 3
     assert built == list(range(1, 9))
     built.clear()
     d_affine(s0_group(5))

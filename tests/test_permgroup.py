@@ -784,6 +784,38 @@ def test_orbits_match_queue_reference_on_bundled_affine_groups(make):
     assert_orbits_match_queue_reference(G.point_stabilizer(0))
 
 
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_orbit_length_with_matches_the_joined_group(seed):
+    seen = set()
+    for s in range(seed, seed + 50):
+        G = random_group(s)
+        n = G.degree
+        rng = random.Random(s)
+        for P in (PermGroup(n, ()), PermGroup(n, G.generators[:1]), G):
+            for g in (random_perm(rng, n), *G.generators):
+                joined = PermGroup(n, P.generators + (g,))
+                for a in range(n):
+                    assert P.orbit_length_with(g, a) == len(joined.orbit(a)), s
+                    if not P.generators:
+                        seen.add("no generators")
+                    elif len(P.orbit(a)) == 1:
+                        seen.add("fixed point")
+                if P.generators and not P.is_transitive():
+                    seen.add("intransitive")
+    assert seen == {"no generators", "fixed point", "intransitive"}
+
+
+def test_orbit_length_with_small_cases():
+    P = PermGroup(5, (Perm.from_cycles(5, [(0, 1)]),))
+    g = Perm.from_cycles(5, [(1, 2)])
+    assert [P.orbit_length_with(g, a) for a in range(5)] == [3, 3, 3, 1, 1]
+    assert PermGroup(5, ()).orbit_length_with(g, 2) == 2
+    with pytest.raises(PreconditionError):
+        P.orbit_length_with(g, 5)
+    with pytest.raises(PreconditionError):
+        P.orbit_length_with(Perm.identity(4), 0)
+
+
 def exponent_divides(G, e):
     return all((x**e).is_identity() for x in G.elements())
 
@@ -1004,31 +1036,48 @@ def test_subgroup_census_quaternion_structure():
     assert all(c.class_size == 1 for c in classes)
 
 
+def closure_by_products(perms, identity):
+    """The group generated by some permutations, by breadth-first closure
+    from the identity under right multiplication: the reference for
+    ElementTable.closure."""
+    seen = {identity}
+    queue = [identity]
+    for x in queue:
+        for g in perms:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
 def census_by_every_extension(G):
     """Every subgroup, from the cyclic ones by extending every subgroup
     found by every element outside it, then classified by conjugating
-    each with every element: the reference for subgroups_up_to_conjugacy.
-    Returns (order, class size, element set of the least conjugate) per
-    class, sorted like the census."""
-    table = ElementTable(G)
-    n = len(table)
+    each with every element, all by Perm products: the reference for
+    subgroups_up_to_conjugacy.  Returns (order, class size, element set
+    of the least conjugate) per class, sorted like the census; the least
+    conjugate is the one whose sorted elements are least, as sorting
+    element ids sorts the elements."""
+    elems = sorted(G.elements())
+    identity = Perm.identity(G.degree)
     found = {}
-    for i in range(n):
-        found.setdefault(table.cyclic(i), (i,) if i != table.identity_id else ())
+    for x in elems:
+        found.setdefault(closure_by_products([x], identity), () if x == identity else (x,))
     worklist = list(found)
     for sub in worklist:
-        for x in range(n):
+        for x in elems:
             if x not in sub:
-                bigger = table.closure(found[sub] + (x,))
+                bigger = closure_by_products(found[sub] + (x,), identity)
                 if bigger not in found:
                     found[bigger] = found[sub] + (x,)
                     worklist.append(bigger)
     classes = {}
     for sub in found:
-        key = min(tuple(sorted(table.conjugate_set(sub, g))) for g in range(n))
+        key = min(tuple(sorted(h.conj(g) for h in sub)) for g in elems)
         classes.setdefault(key, set()).add(sub)
     return [
-        (len(key), len(classes[key]), frozenset(table.elements[i] for i in key))
+        (len(key), len(classes[key]), frozenset(key))
         for key in sorted(classes, key=lambda k: (len(k), k))
     ]
 
@@ -1047,6 +1096,24 @@ def test_subgroup_census_matches_every_extension_reference(seed):
         assert census == census_by_every_extension(G), s
         checked += 1
     assert checked >= 20
+
+
+def test_subgroup_census_sym5():
+    # beyond the reference censuses above: 156 subgroups in 19 classes
+    classes = subgroups_up_to_conjugacy(symmetric_group(5))
+    assert len(classes) == 19
+    assert sum(c.class_size for c in classes) == 156
+    assert [c.order for c in classes] == [
+        1, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 8, 10, 12, 12, 20, 24, 60, 120
+    ]
+    assert [c.representative.order() for c in classes] == [c.order for c in classes]
+    # the quotient M_0 / G_0 of the second Corollary 3 case is Sym(5)
+    G0 = table1_matrix_group(2).perm_group("nonzero")
+    M0 = table2_matrix_group(2).perm_group("nonzero")
+    quotient = subgroups_up_to_conjugacy(coset_action(M0, G0).group)
+    assert sorted((c.order, c.class_size) for c in quotient) == sorted(
+        (c.order, c.class_size) for c in classes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1076,6 +1143,24 @@ def test_element_table():
     for g in range(24):
         assert len(table.conjugate_set(v4_ids, g)) == 4
         assert table.conjugate_set(v4_ids, g) == v4_ids  # V4 is normal in S4
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_element_table_closure_matches_product_closure(seed):
+    checked = 0
+    for s in range(seed, seed + 50):
+        G = random_group(s)
+        if G.order() > 200:
+            continue
+        table = ElementTable(G)
+        identity = Perm.identity(G.degree)
+        rng = random.Random(s)
+        for _ in range(10):
+            ids = [rng.randrange(len(table)) for _ in range(rng.randint(0, 3))]
+            expected = closure_by_products([table.elements[i] for i in ids], identity)
+            assert {table.elements[i] for i in table.closure(ids)} == expected, s
+        checked += 1
+    assert checked >= 30
 
 
 # ---------------------------------------------------------------------------
