@@ -28,7 +28,7 @@ from .constructions import (
     z_group_kernel_action,
 )
 from .errors import IndeterminateError, PreconditionError
-from .field import FieldElement, FieldSpec, field_make, primitive_element
+from .field import FieldSpec, field_make
 from .gens import (
     DResult,
     GenTuple,
@@ -78,7 +78,6 @@ __all__ = [
     "CosetAction",
     "ClaimVerdict",
     "DResult",
-    "FieldElement",
     "FieldSpec",
     "GenTuple",
     "IndeterminateError",
@@ -112,7 +111,6 @@ __all__ = [
     "normal_in",
     "perm_from_matrix",
     "perm_to_text",
-    "primitive_element",
     "rank",
     "run_suite",
     "s0_group",

@@ -275,9 +275,9 @@ def table2_group(i: int) -> PermGroup:
 
 
 def sl2(p: int) -> MatrixGroup:
-    """SL(2, p) for prime p > 3, from the standard generator pair
+    """SL(2, p) for prime p, from the standard generator pair
     [[1,1],[0,1]] and [[0,1],[-1,0]]."""
-    f = _sl2_field(p)
+    f = field_make(p, 1)
     u = MatrixF.from_codes(f, [[1, 1], [0, 1]])
     v = MatrixF.from_codes(f, [[0, 1], [p - 1, 0]])
     return MatrixGroup(f, 2, [u, v])
@@ -286,8 +286,10 @@ def sl2(p: int) -> MatrixGroup:
 def sl2_twisted_group(p: int) -> MatrixGroup:
     """The subgroup <u, u^t'> of SL(2, p) generated by [[1,1],[0,1]] and
     its twisted transpose [[1,0],[-w,1]], w the canonical primitive
-    element mod p.  For p > 3 this is again all of SL(2, p)."""
-    f = _sl2_field(p)
+    element mod p, for prime p > 3; then this is again all of SL(2, p)."""
+    if p <= 3:
+        raise PreconditionError(f"sl2_twisted_group needs a prime p > 3, got {p}")
+    f = field_make(p, 1)
     u = MatrixF.from_codes(f, [[1, 1], [0, 1]])
     ut = MatrixF.from_codes(f, [[1, 0], [f.ops.neg(f.ops.primitive), 1]])
     return MatrixGroup(f, 2, [u, ut])
@@ -300,13 +302,6 @@ def sl2_order(p: int) -> int:
 def sl2_twisted_check(p: int) -> bool:
     """Whether the unitriangular pair generates the full SL(2, p)."""
     return sl2_twisted_group(p).order() == sl2_order(p)
-
-
-def _sl2_field(p: int) -> FieldSpec:
-    if p <= 3:
-        raise PreconditionError(f"sl2 constructions need a prime p > 3, got {p}")
-    f = field_make(p, 1)
-    return f
 
 
 # ---------------------------------------------------------------------------

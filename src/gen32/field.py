@@ -17,9 +17,10 @@ The engine computes on codes: ``FieldSpec.ops`` adds, subtracts,
 negates, multiplies and inverts codes, by plain arithmetic mod p in a
 prime field.  For m > 1 it adds codes digit by digit (``add_codes``, the
 one sum of codes, which also adds vectors) and multiplies them through
-log/antilog tables of size q, built on first use.  ``FieldElement`` is
-the wrapper for parsing and the public API, and its polynomial
-arithmetic is the reference the code arithmetic is tested against.
+log/antilog tables of size q, built on first use.  ``FieldElement``
+(``FieldSpec.element``, ``zero``, ``one``) computes on coefficient
+tuples by polynomial arithmetic; nothing in the engine uses it, and it
+is kept as the reference the code arithmetic is tested against.
 
 ``POINT_LIMIT`` bounds the field order as it bounds a permutation
 action's point set: ``field_make`` refuses p^m > ``POINT_LIMIT`` before
@@ -506,16 +507,6 @@ class FieldElement(_Frozen):
             e >>= 1
         return result
 
-    def __lt__(self, other: FieldElement) -> bool:
-        self._check(other)
-        return self.code < other.code
-
     def __repr__(self) -> str:
         return f"{self.code}@GF({self.field.q})"
 
-
-def primitive_element(field: FieldSpec) -> FieldElement:
-    """The canonical generator of the multiplicative group: the element
-    of least code >= 2 and multiplicative order q - 1 (for q = 2, the
-    identity, code 1)."""
-    return field.element(_primitive_code(field.p, field.m, field.modulus))

@@ -2,23 +2,19 @@
 
 Matrices act on ROW vectors from the right: v -> v * M.  Vectors of
 length ``dim`` over GF(q) are serialized as integer point codes
-``sum(v[i].code * q**i)``, which enumerates the full space as
-0 .. q^dim - 1 with the zero vector at code 0.  Converting a matrix to
-the permutation it induces on point codes is therefore a homomorphism
-onto a permutation group under the left-to-right product convention of
-:mod:`gen32.permgroup`, and all group-level questions about a matrix
-group (order, membership) are settled on the faithful permutation image
-on nonzero vectors.
+``sum(c[i] * q**i)``, c[i] the code of the i-th coordinate, which
+enumerates the full space as 0 .. q^dim - 1 with the zero vector at
+code 0.  Converting a matrix to the permutation it induces on point
+codes is therefore a homomorphism onto a permutation group under the
+left-to-right product convention of :mod:`gen32.permgroup`, and all
+group-level questions about a matrix group (order, membership) are
+settled on the faithful permutation image on nonzero vectors.
 
-A matrix holds the integer codes of its entries, and every computation
-here (products, determinants, the point images of ``perm_from_matrix``,
-the spins of ``is_irreducible``) runs on codes through the field's
-``FieldSpec.ops``.  A matrix is built from codes (``MatrixF.from_codes``)
-and ``FieldElement`` only wraps codes at the public edges:
-``MatrixF.rows``, ``det``, and the vector helpers ``encode_vector``,
-``decode_vector`` and ``apply_vector``, which compute with
-``FieldElement`` arithmetic and serve as the reference for the code
-paths.
+A matrix holds the integer codes of its entries, is built from codes
+(``MatrixF.from_codes``), and every computation here (products, the
+determinant's code, the point images of ``perm_from_matrix``, the spins
+of ``is_irreducible``) runs on codes through the field's
+``FieldSpec.ops``.
 
 The text format for matrix-group files is::
 
@@ -37,7 +33,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import POINT_LIMIT, CodeOps, FieldElement, FieldSpec, add_codes, field_make
+from .field import POINT_LIMIT, CodeOps, FieldSpec, add_codes, field_make
 from .permgroup import Perm, PermGroup
 
 
@@ -67,11 +63,6 @@ class MatrixF:
     def codes(self) -> tuple[tuple[int, ...], ...]:
         return self._codes
 
-    @property
-    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
-        element = self.field.element
-        return tuple(tuple(map(element, r)) for r in self._codes)
-
     def __mul__(self, other: MatrixF) -> MatrixF:
         if self.field != other.field or self.dim != other.dim:
             raise PreconditionError("matrix shape or field mismatch")
@@ -80,7 +71,7 @@ class MatrixF:
             self.field, [_row_times(r, other._codes, ops) for r in self._codes]
         )
 
-    def _det_code(self) -> int:
+    def det(self) -> int:
         """The code of the determinant, by Gaussian elimination."""
         ops = self.field.ops
         sub, mul = ops.sub, ops.mul
@@ -104,12 +95,8 @@ class MatrixF:
                     work[r] = [sub(a, mul(factor, b)) for a, b in zip(work[r], row)]
         return det
 
-    def det(self) -> FieldElement:
-        """The determinant."""
-        return self.field.element(self._det_code())
-
     def is_invertible(self) -> bool:
-        return self._det_code() != 0
+        return self.det() != 0
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -134,40 +121,6 @@ def _row_times(v: Sequence[int], rows: Sequence[Sequence[int]], ops: CodeOps) ->
         if x:
             out = [add(a, mul(x, b)) for a, b in zip(out, row)]
     return out
-
-
-# ---------------------------------------------------------------------------
-# vectors as integer codes
-
-
-def encode_vector(field: FieldSpec, vec: Sequence[FieldElement]) -> int:
-    acc = 0
-    for x in reversed(vec):
-        acc = acc * field.q + x.code
-    return acc
-
-
-def decode_vector(field: FieldSpec, dim: int, code: int) -> tuple[FieldElement, ...]:
-    out = []
-    for _ in range(dim):
-        code, r = divmod(code, field.q)
-        out.append(field.element(r))
-    if code:
-        raise PreconditionError("vector code out of range")
-    return tuple(out)
-
-
-def apply_vector(vec: Sequence[FieldElement], M: MatrixF) -> tuple[FieldElement, ...]:
-    """v * M for a row vector v, in FieldElement arithmetic."""
-    n = M.dim
-    rows = M.rows
-    out = []
-    for k in range(n):
-        acc = M.field.zero()
-        for j in range(n):
-            acc = acc + vec[j] * rows[j][k]
-        out.append(acc)
-    return tuple(out)
 
 
 def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:

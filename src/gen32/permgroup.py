@@ -75,12 +75,15 @@ The subgroup census (``subgroups_up_to_conjugacy``) works one conjugacy
 class at a time: a subgroup is generated by a maximal subgroup of it and
 one element of prime-power order, so extending one representative per
 class by the prime-power-order cyclic subgroups reaches every class.  It
-runs on the element ids of an ``ElementTable``, whose rows, the right
-multiplication by one element, are each one gather of keys.  A subgroup
-is closed by Dimino's method, a whole right coset of the part found so
-far at a time, each coset one gather of a row; and a new subgroup's
-conjugacy class is its orbit under conjugation by G's generators, an id
-map per generator applied to a whole id set in one gather.
+runs on the element numbers of the keyed enumeration: an
+``ElementTable`` holds their rows, the right multiplication by one
+element, each one gather of keys.  A subgroup is closed by Dimino's
+method, a whole right coset of the part found so far at a time, each
+coset one gather of a row; and a new subgroup's conjugacy class is its
+orbit under conjugation by G's generators, the maps of
+``KeyedElements.conjugations`` applied to a whole number set in one
+gather each.  Conjugates are compared by their elements' ranks in key
+order, so the least one is the one whose sorted elements are least.
 """
 
 from __future__ import annotations
@@ -540,32 +543,35 @@ class KeyedElements:
             self._by_key = array("l", sorted(range(len(self.keys)), key=self.keys.__getitem__))
         return self._by_key
 
+    def conjugations(self) -> list[list[int]]:
+        """Per generator g, the number of each element's conjugate
+        g^-1 x g.  Built on each call and not kept, so the maps of a large
+        group do not stay alive with its enumeration.
+
+        The conjugate is found by its base images, g[x[g^-1[b_i]]]: every
+        point g^-1[b_i] lies in S, so x's images of them are columns of
+        the keys, and g maps each column in one gather.
+        """
+        keys, base, points = self.keys, self.chain.base, self.base
+        width = len(base)
+        index = {key[:width]: i for i, key in enumerate(keys)}
+        # columns[p]: every element's image of the p-th point of S
+        columns = list(zip(*keys))
+        return [
+            list(map(index.__getitem__, zip(*(
+                _take(g, columns[points.index(g.index(b))]) for b in base
+            ))))
+            for g in self._gens
+        ]
+
     def classes(self) -> list[list[int]]:
         """Conjugacy classes as element numbers, each in key order,
-        ordered by their least member.
-
-        A conjugate g^-1 x g is found by its base images,
-        g[x[g^-1[b_i]]]: every point g^-1[b_i] lies in S, so x's images
-        of them are columns of the keys, and g maps each column in one
-        gather.
-        """
+        ordered by their least member: orbits under ``conjugations()``."""
         if self._classes is None:
-            keys, base, points = self.keys, self.chain.base, self.base
-            width = len(base)
-            index = {key[:width]: i for i, key in enumerate(keys)}
-            # columns[p]: every element's image of the p-th point of S
-            columns = list(zip(*keys))
-            # per generator g, the number of each element's conjugate
-            # g^-1 x g, from the columns of the points g^-1[b_i]
-            conjugate = [
-                list(map(index.__getitem__, zip(*(
-                    _take(g, columns[points.index(g.index(b))]) for b in base
-                ))))
-                for g in self._gens
-            ]
+            conjugate = self.conjugations()
             # number the classes by their least members, then list each
             # class's members in key order
-            label = [-1] * len(keys)
+            label = [-1] * len(self.keys)
             count = 0
             for i in self.by_key():
                 if label[i] >= 0:
@@ -939,21 +945,13 @@ class CosetAction(NamedTuple):
     ``group`` is the quotient as a permutation group on coset indices;
     ``reps`` holds the lexicographically least element of each coset, and
     ``labels`` maps the key of every group element, its images of
-    ``G.keyed().base``, to its coset index.  ``coset_of`` maps the
-    elements themselves, n * e for n in the subgroup and e in ``reps``,
-    and is built on each use.  Coset 0 is always the subgroup itself
-    (the identity is the least element of all).
+    ``G.keyed().base``, to its coset index.  Coset 0 is always the
+    subgroup itself (the identity is the least element of all).
     """
 
     group: PermGroup
     reps: tuple[Perm, ...]
     labels: dict[tuple[int, ...], int]
-    subgroup: PermGroup
-
-    @property
-    def coset_of(self) -> dict[Perm, int]:
-        elems = self.subgroup.elements()
-        return {n * e: idx for idx, e in enumerate(self.reps) for n in elems}
 
 
 def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
@@ -988,7 +986,6 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
         group=PermGroup._with_base(index, images, (0,)),
         reps=tuple(keyed.perm(i) for i in reps),
         labels=labels,
-        subgroup=N,
     )
 
 
@@ -997,81 +994,63 @@ def coset_action(G: PermGroup, N: PermGroup) -> CosetAction:
 
 
 class ElementTable:
-    """Id-indexed multiplication for a fully enumerated small group.
+    """Right multiplication on the element numbers of a small group's
+    keyed enumeration (``PermGroup.keyed``), a row at a time.
 
-    Elements are sorted lexicographically and addressed by index, so ids
-    are canonical for the group as a set.  ``_rows[y]``, built on first
-    use, is y's row of the right regular representation: the id of x * y
-    for every id x.  It is one gather, from keys (``KeyedElements``):
-    the base images of x * y are y.images_of(x's base images), so y maps
-    every element's base images, laid end to end, at once.  The inverse
-    of every element is read off its base images, x^-1[b] =
-    x.images.index(b), when the table is made.  Its one client is the
-    subgroup census, ``subgroups_up_to_conjugacy``, which calls
-    ``closure`` once per extension it tries and conjugates id sets by
-    whole gathers (``conjugate_set``, ``conjugation``).
+    ``_rows[y]``, None until first use, is y's row of the right regular
+    representation: the number of x * y for every number x.  It is one
+    gather: the base images of x * y are y.images_of(x's base images),
+    so y maps every element's base images, laid end to end, at once.
+    The identity is number 0.  Its one client is the subgroup census,
+    ``subgroups_up_to_conjugacy``, which calls ``closure`` once per
+    extension it tries.
     """
 
-    __slots__ = (
-        "group", "elements", "index", "_base", "_base_images", "_by_key", "_rows", "_inv", "_id"
-    )
+    __slots__ = ("keyed", "_flat", "_number", "_rows")
 
     def __init__(self, group: PermGroup):
         if group.order() > SUBGROUP_CENSUS_LIMIT:
             raise PreconditionError(
                 f"group order {group.order()} exceeds the table cap {SUBGROUP_CENSUS_LIMIT}"
             )
-        self.group = group
-        keyed = group.keyed()
-        base = self._base = keyed.chain.base
-        self.elements = [keyed.perm(i) for i in keyed.by_key()]
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        keys = [e.images_of(base) for e in self.elements]
-        self._base_images = list(chain.from_iterable(keys))
-        self._by_key = {key: i for i, key in enumerate(keys)}
-        self._rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
-        self._inv = [self._by_key[tuple(map(e.images.index, base))] for e in self.elements]
-        self._id = self.index[group.identity()]
+        keyed = self.keyed = group.keyed()
+        width = len(keyed.chain.base)
+        keys = [key[:width] for key in keyed.keys]
+        self._flat = list(chain.from_iterable(keys))
+        self._number = {key: i for i, key in enumerate(keys)}
+        self._rows: list[tuple[int, ...] | None] = [None] * len(keys)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity_id(self) -> int:
-        return self._id
+        return len(self._rows)
 
     def row(self, y: int) -> tuple[int, ...]:
-        """The id of x * y for every id x."""
+        """The number of x * y for every number x."""
         r = self._rows[y]
         if r is None:
-            keys = _gather(self.elements[y].images, self._base_images, len(self._base), len(self))
-            r = self._rows[y] = tuple(map(self._by_key.__getitem__, keys))
+            width = len(self.keyed.chain.base)
+            keys = _gather(self.keyed.perm(y).images, self._flat, width, len(self))
+            r = self._rows[y] = tuple(map(self._number.__getitem__, keys))
         return r
 
-    def mul(self, i: int, j: int) -> int:
-        return self.row(j)[i]
-
-    def inv(self, i: int) -> int:
-        return self._inv[i]
-
     def closure(self, gen_ids: Sequence[int]) -> frozenset[int]:
-        """The subgroup generated by the given element ids, as an id set.
+        """The subgroup generated by the given element numbers, as a
+        number set.
 
         Dimino's closure: the subgroup H found so far is extended by each
         generator g outside it to <H, g>, a union of right cosets H * y,
-        each gathered from y's row at H's ids.  The cosets are found from
-        g by right multiplication of their representatives by the
+        each gathered from y's row at H's numbers.  The cosets are found
+        from g by right multiplication of their representatives by the
         generators so far, until that gives no new coset.
         """
-        found = [self._id]
-        members = {self._id}
+        found = [0]
+        members = {0}
         gen_rows: list[tuple[int, ...]] = []
         for g in gen_ids:
             if g in members:
                 continue
             gen_rows.append(self.row(g))
             prior = tuple(found)
-            reps = [self._id]
+            reps = [0]
             for r in reps:
                 for row in gen_rows:
                     y = row[r]
@@ -1084,23 +1063,12 @@ class ElementTable:
 
     def cyclic(self, i: int) -> frozenset[int]:
         row = self.row(i)
-        seen = {self._id}
+        seen = {0}
         x = i
         while x not in seen:
             seen.add(x)
             x = row[x]
         return frozenset(seen)
-
-    def conjugation(self, g: int) -> tuple[int, ...]:
-        """The id of g^-1 * x * g for every id x: x * g, inverted, times
-        g, inverted again, four gathers."""
-        row, inv = self.row(g), self._inv
-        return _take(inv, _take(row, _take(inv, row)))
-
-    def conjugate_set(self, ids: frozenset[int], g: int) -> frozenset[int]:
-        """g^-1 * ids * g, by the same four gathers at ids alone."""
-        row, inv = self.row(g), self._inv
-        return frozenset(_take(inv, _take(row, _take(inv, _take(row, ids)))))
 
 
 class SubgroupClass(NamedTuple):
@@ -1123,28 +1091,36 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[SubgroupClass]:
     by extending each class representative by one generator of every
     prime-power-order cyclic subgroup it does not contain.  The
     conjugates of a subgroup not seen before are its orbit under
-    conjugation by G's generators, and all of them are marked as seen.
-    The representative of a class is the conjugate whose sorted
-    element-id tuple is least, generated by the discovering generators
-    conjugated by the least id g that gives it, found by trying g
-    upward; classes are returned sorted by (order, that tuple).
+    conjugation by G's generators (``KeyedElements.conjugations``), and
+    all of them are marked as seen.
+
+    Elements are the numbers of G's keyed enumeration, compared by their
+    rank in key order, the order of their image tuples.  The
+    representative of a class is the conjugate whose sorted rank tuple
+    is least, generated by the discovering generators conjugated by the
+    least g that gives it, found by trying g upward: g^-1 S g is that
+    conjugate L exactly when S * g == g * L, which rows give.  Classes
+    are returned sorted by (order, that tuple).
     """
     table = ElementTable(G)
-    n = len(table)
-    # one generator, the least id, of each prime-power-order cyclic subgroup
+    keyed = table.keyed
+    by_key = keyed.by_key()
+    # rank[i]: the position of element i in key order
+    rank = [0] * len(by_key)
+    for r, i in enumerate(by_key):
+        rank[i] = r
+    # one generator, the least, of each prime-power-order cyclic subgroup
     extenders: list[int] = []
     cyclic_seen: set[frozenset[int]] = set()
-    for x in range(n):
+    for x in by_key:
         sub = table.cyclic(x)
         if len(prime_factors(len(sub))) == 1 and sub not in cyclic_seen:
             cyclic_seen.add(sub)
             extenders.append(x)
     seen: set[frozenset[int]] = set()
-    # per class: (sorted id tuple, generator ids, number of conjugates)
+    # per class: (sorted rank tuple, generators, number of conjugates)
     classes: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-
-    # per generator g of G, the id of g^-1 x g for every id x
-    conjugations = [table.conjugation(table.index[g]) for g in G.generators]
+    conjugations = keyed.conjugations()
 
     def add_class(sub: frozenset[int], gens: tuple[int, ...]) -> None:
         conjugates = {sub}
@@ -1156,29 +1132,33 @@ def subgroups_up_to_conjugacy(G: PermGroup) -> list[SubgroupClass]:
                     conjugates.add(d)
                     queue.append(d)
         seen.update(conjugates)
-        key = min(tuple(sorted(c)) for c in conjugates)
-        least = frozenset(key)
-        g = next(g for g in range(n) if table.conjugate_set(sub, g) == least)
-        rep_gens = _take(table.conjugation(g), gens)
+        key = min(tuple(sorted(_take(rank, c))) for c in conjugates)
+        least_rows = [table.row(x) for x in _take(by_key, key)]
+        g = next(
+            g for g in by_key
+            if frozenset(_take(table.row(g), sub)) == {row[g] for row in least_rows}
+        )
+        row = table.row(g)
+        g_inv = row.index(0)
+        rep_gens = tuple(row[table.row(x)[g_inv]] for x in gens)
         classes.append((key, rep_gens, len(conjugates)))
 
-    add_class(frozenset((table.identity_id,)), ())
+    add_class(frozenset((0,)), ())
     w = 0
     while w < len(classes):
         key, gens, _ = classes[w]
         w += 1
         members = set(key)
         for x in extenders:
-            if x in members:
+            if rank[x] in members:
                 continue
             bigger = table.closure(gens + (x,))
             if bigger not in seen:
                 add_class(bigger, gens + (x,))
-    out = []
-    for key, gens, size in sorted(classes, key=lambda c: (len(c[0]), c[0])):
-        rep = G.subgroup(table.elements[i] for i in gens)
-        out.append(SubgroupClass(representative=rep, order=len(key), class_size=size))
-    return out
+    return [
+        SubgroupClass(G.subgroup(map(keyed.perm, gens)), len(key), size)
+        for key, gens, size in sorted(classes, key=lambda c: (len(c[0]), c[0]))
+    ]
 
 
 # ---------------------------------------------------------------------------

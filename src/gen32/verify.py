@@ -45,9 +45,8 @@ from .constructions import (
     z_group,
 )
 from .errors import PreconditionError
-from .field import field_make, prime_power
+from .field import prime_power
 from .gens import all_abelian_subgroups_cyclic, d_affine, d_exact
-from .matgroup import MatrixF, MatrixGroup
 from .permgroup import (
     Perm,
     PermGroup,
@@ -280,19 +279,11 @@ def _quaternion_group(two_power: int) -> PermGroup:
     return PermGroup(two_power, (Perm(x_images), Perm(y_images)))
 
 
-def _sl2_3() -> PermGroup:
-    """SL(2, 3) on the 8 nonzero vectors of GF(3)^2."""
-    f = field_make(3)
-    u = MatrixF.from_codes(f, [[1, 1], [0, 1]])
-    v = MatrixF.from_codes(f, [[0, 1], [2, 0]])
-    return MatrixGroup(f, 2, [u, v]).perm_group("nonzero")
-
-
 def _positive_corpus() -> list[tuple[str, PermGroup]]:
     return [
         ("q8", _quaternion_group(8)),
         ("q16", _quaternion_group(16)),
-        ("sl2_3", _sl2_3()),
+        ("sl2_3", sl2(3).perm_group("nonzero")),
         ("sl2_5", sl2(5).perm_group("nonzero")),
         ("c3rc4", z_group(3, 4, 2)),
         ("z_5_4_2", z_group(5, 4, 2)),

@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
+from field_reference import apply_vector
 from gen32.cli import main as cli_main
 from gen32.constructions import (
     agl1,
@@ -25,7 +26,7 @@ from gen32.constructions import (
 )
 from gen32.field import field_make
 from gen32.gens import d_affine, d_exact
-from gen32.matgroup import MatrixF, MatrixGroup, apply_vector, is_irreducible
+from gen32.matgroup import MatrixF, MatrixGroup, is_irreducible
 from gen32.permgroup import Perm, PermGroup, symmetric_group
 from gen32.transitivity import rank
 

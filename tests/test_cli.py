@@ -84,6 +84,16 @@ def test_construct_precondition_failure_is_exit_3(capsys):
     assert code == 3
 
 
+def test_sl2_takes_every_prime(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "sl2", "--p", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["order"], report["d"]["value"]) == (24, 2)
+    code, _, err = run_cli(capsys, "analyze", "sl2", "--p", "4")
+    assert code == 3
+    assert "must be prime" in err
+
+
 def test_zgroup_over_the_point_cap_is_exit_3(capsys):
     code, out, err = run_cli(
         capsys, "construct", "zgroup", "--m", "1000003", "--n", "2", "--r", "1000002"

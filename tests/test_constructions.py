@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from field_reference import primitive_element, rows
 from gen32.constructions import (
     affine_group,
     affine_of_linear_perms,
@@ -25,7 +26,7 @@ from gen32.constructions import (
     z_group_kernel_action,
 )
 from gen32.errors import PreconditionError
-from gen32.field import field_make, prime_power, primitive_element
+from gen32.field import field_make, prime_power
 from gen32.matgroup import MatrixF, MatrixGroup, is_irreducible, perm_from_matrix
 from gen32.permgroup import Perm, PermGroup, coset_action, subgroups_up_to_conjugacy
 from gen32.transitivity import analyze, is_frobenius, rank
@@ -56,10 +57,9 @@ def test_s0_is_monomial_with_det_pm1():
     # monomial matrices of determinant +-1 are closed under products, so
     # checking the generators covers the group
     G = s0_group(5)
-    one = gf(5).one()
     for m in G.generators:
-        assert m.det() in (one, -one)
-        for row in m.rows:
+        assert m.det() in (1, 4)  # +-1 in GF(5)
+        for row in rows(m):
             assert sum(1 for x in row if x.code != 0) == 1
 
 
@@ -70,8 +70,6 @@ def test_s0_generator_shapes():
     # v = diag(1, -1); -1 has code 2 in GF(9) over GF(3)
     assert v.codes() == ((1, 0), (0, 2))
     # w = diag(omega, omega^-1) for the canonical primitive element
-    from gen32.field import primitive_element
-
     omega = primitive_element(gf(9))
     assert w.codes()[0][0] == omega.code
     assert w.codes()[0][1] == 0
@@ -434,17 +432,17 @@ def test_data_dir_corrupt_file(tmp_path, monkeypatch):
 # SL(2, p) and the twisted pair
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_sl2_order(p):
     assert sl2(p).order() == p * (p * p - 1) == sl2_order(p)
 
 
 def test_sl2_dets_are_one():
-    one = gf(5).one()
-    assert all(m.det() == one for m in sl2(5).generators)
+    for p in (2, 3, 5):
+        assert all(m.det() == 1 for m in sl2(p).generators)
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 9, 15])
+@pytest.mark.parametrize("p", [4, 9, 15])
 def test_sl2_rejects_bad_p(p):
     with pytest.raises(PreconditionError):
         sl2(p)
@@ -454,6 +452,12 @@ def test_sl2_rejects_bad_p(p):
 def test_sl2_twisted(p):
     assert sl2_twisted_group(p).order() == sl2_order(p)
     assert sl2_twisted_check(p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sl2_twisted_group_needs_a_prime_over_3(p):
+    with pytest.raises(PreconditionError, match="p > 3"):
+        sl2_twisted_group(p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ import time
 
 import pytest
 
+from field_reference import primitive_element
 from gen32.errors import PreconditionError
 from gen32.field import (
     FieldSpec,
+    _primitive_code,
     field_make,
     is_prime,
     prime_factors,
     prime_power,
-    primitive_element,
 )
 
 
@@ -140,7 +141,7 @@ def test_element_code_round_trip():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49])
 def test_primitive_element_has_full_order(q):
     f = gf(q)
-    w = primitive_element(f)
+    w = f.element(f.ops.primitive)
     powers = set()
     x = f.one()
     for _ in range(q - 1):
@@ -151,12 +152,14 @@ def test_primitive_element_has_full_order(q):
 
 def test_primitive_element_is_canonical():
     # the scan takes the least code of full multiplicative order
-    assert primitive_element(gf(5)).code == 2
-    assert primitive_element(gf(7)).code == 3
-    assert primitive_element(gf(2)).code == 1
+    assert gf(5).ops.primitive == 2
+    assert gf(7).ops.primitive == 3
+    assert gf(2).ops.primitive == 1
     # in GF(9) = GF(3)[x]/(x^2+1), x^2 = -1 gives x order 4; the first
     # generator is 1 + x (code 4), whose square is 2x
-    assert primitive_element(gf(9)).code == 4
+    assert gf(9).ops.primitive == 4
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 81, 125):
+        assert gf(q).ops.primitive == primitive_element(gf(q)).code
 
 
 def test_multiplicative_order_divides_group_order():
@@ -248,9 +251,9 @@ def test_field_make_builds_no_tables():
 
 def test_primitive_element_builds_no_tables():
     f = field_make.__wrapped__(2, 16)
-    w = primitive_element(f)
+    code = _primitive_code(f.p, f.m, f.modulus)
     assert "ops" not in vars(f)
-    assert w.code == f.ops.primitive
+    assert code == f.ops.primitive == primitive_element(f).code
 
 
 def test_code_tables_are_capped():
@@ -258,7 +261,7 @@ def test_code_tables_are_capped():
     f = FieldSpec(3, 13, (1,) + (0,) * 11 + (2, 1))
     with pytest.raises(PreconditionError, match="code-table cap"):
         f.ops
-    assert primitive_element(f).code == 3
+    assert _primitive_code(f.p, f.m, f.modulus) == primitive_element(f).code == 3
 
 
 @pytest.mark.parametrize(

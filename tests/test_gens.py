@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from field_reference import decode_vector, encode_vector
 from gen32.constructions import (
     agl1,
     s0_group,
@@ -26,7 +27,7 @@ from gen32.gens import (
     d_lower_bound_abelian,
     generates,
 )
-from gen32.matgroup import MatrixGroup, decode_vector, encode_vector
+from gen32.matgroup import MatrixGroup
 from gen32.field import field_make
 from gen32 import permgroup
 from gen32.permgroup import (
@@ -37,7 +38,7 @@ from gen32.permgroup import (
     normal_closure,
     symmetric_group,
 )
-from gen32.verify import _negative_corpus, _positive_corpus, _sl2_3
+from gen32.verify import _negative_corpus, _positive_corpus
 
 
 def quaternion8():
@@ -236,6 +237,13 @@ def coset_labels_by_products(G, N):
     return reps, coset_of
 
 
+def labels_by_key(G, coset_of):
+    """Coset labels keyed, as coset_action keys them, by each element's
+    images of G.keyed().base."""
+    base = G.keyed().base
+    return {g.images_of(base): label for g, label in coset_of.items()}
+
+
 @pytest.mark.parametrize("make", KEYED_CORPUS)
 def test_elements_match_product_closure(make):
     for G in make():
@@ -256,7 +264,7 @@ def test_coset_labels_match_products(make):
             ca = coset_action(G, N)
             reps, coset_of = coset_labels_by_products(G, N)
             assert ca.reps == tuple(reps)
-            assert list(ca.coset_of.items()) == list(coset_of.items())
+            assert ca.labels == labels_by_key(G, coset_of)
             action = tuple(Perm([coset_of[r * g] for r in reps]) for g in G.generators)
             assert ca.group.generators == action
 
@@ -334,11 +342,17 @@ def test_keyed_enumeration_matches_oracles_without_a_lex_least_base(make):
         base = G.chain().base
         assert G.elements() == elements_by_products(G)
         assert G.conjugacy_classes() == classes_by_definition(G)
+        perms = G.keyed().perms()
+        gens = [g for g in G.generators if not g.is_identity()]
+        conjugations = G.keyed().conjugations()
+        assert len(conjugations) == len(gens)
+        for g, conj in zip(gens, conjugations):
+            assert [perms[j] for j in conj] == [x.conj(g) for x in perms]
         for N in (PermGroup(G.degree, ()), derived_subgroup(G)):
             ca = coset_action(G, N)
             reps, coset_of = coset_labels_by_products(G, N)
             assert ca.reps == tuple(reps)
-            assert list(ca.coset_of.items()) == list(coset_of.items())
+            assert ca.labels == labels_by_key(G, coset_of)
         # the enumeration's chain is lex-least; the group's own is kept
         assert G.chain().base == base
         assert G.keyed().chain.base != base
@@ -705,7 +719,11 @@ class AbelianFilterByTable:
     def __init__(self, G, D):
         ca = coset_action(G, D)
         self.size = len(ca.reps)
-        self.phi = ca.coset_of
+        # each element n * e of coset e, keyed like coset_action's labels
+        base = G.keyed().base
+        self.phi = {
+            (n * e).images_of(base): idx for idx, e in enumerate(ca.reps) for n in D.elements()
+        }
         rows = {0: tuple(range(self.size))}
         queue = [0]
         for a in queue:
@@ -781,8 +799,7 @@ def test_abelian_filter_matches_table_reference(make):
         if D.order() == G.order():
             continue
         ab, ref = _AbelianFilter(G, D), AbelianFilterByTable(G, D)
-        base = G.keyed().base
-        assert (ab.size, ab.phi) == (ref.size, {g.images_of(base): x for g, x in ref.phi.items()})
+        assert (ab.size, ab.phi) == (ref.size, ref.phi)
         rng = random.Random(seed)
         draws = [()] + [(x,) for x in range(ab.size)]
         draws += [tuple(rng.sample(range(ab.size), min(k, ab.size))) for k in (2, 2, 3, 3)]
@@ -1082,7 +1099,7 @@ def test_all_abelian_subgroups_cyclic_matches_the_pairwise_definition():
         (elementary_pp(5), False),
         (quaternion8(), True),
         (quaternion16(), True),
-        (_sl2_3(), True),
+        (sl2(3).perm_group("nonzero"), True),
         (sl2(5).perm_group("nonzero"), True),
         (z_group(5, 4, 2), True),
         (z_group(7, 3, 2), True),

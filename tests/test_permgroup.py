@@ -907,15 +907,15 @@ def test_coset_action_sym4_mod_klein():
     assert not ca.group.is_abelian()  # S4/V is Sym(3)
     assert len(ca.reps) == 6
     assert ca.reps[0] == Perm.identity(4)  # coset 0 is the subgroup itself
-    assert len(ca.coset_of) == 24
+    base = S4.keyed().base
+    assert len(ca.labels) == 24
     # each coset has exactly |V| elements and reps land in their own coset
     counts = [0] * 6
-    for g, idx in ca.coset_of.items():
-        counts[idx] += 1
-        assert g.degree == 4
+    for g in S4.elements():
+        counts[ca.labels[g.images_of(base)]] += 1
     assert counts == [4] * 6
     for idx, rep in enumerate(ca.reps):
-        assert ca.coset_of[rep] == idx
+        assert ca.labels[rep.images_of(base)] == idx
 
 
 def test_coset_action_is_homomorphism():
@@ -924,9 +924,10 @@ def test_coset_action_is_homomorphism():
         4, (Perm.from_cycles(4, [(0, 1), (2, 3)]), Perm.from_cycles(4, [(0, 2), (1, 3)]))
     )
     ca = coset_action(S4, V)
+    base = S4.keyed().base
     images = {}
     for g in S4.elements():
-        images[g] = tuple(ca.coset_of[ca.reps[i] * g] for i in range(len(ca.reps)))
+        images[g] = tuple(ca.labels[(r * g).images_of(base)] for r in ca.reps)
     for a in list(S4.elements())[:8]:
         for b in list(S4.elements())[:8]:
             composed = tuple(images[b][x] for x in images[a])
@@ -1123,26 +1124,27 @@ def test_subgroup_census_sym5():
 def test_element_table():
     G = symmetric_group(4)
     table = ElementTable(G)
+    keyed = G.keyed()
     assert len(table) == 24
-    elems = table.elements  # globally lex-sorted, ids are positions here
-    assert elems == sorted(G.elements())
-    assert table.identity_id == 0
+    assert keyed.perm(0) == Perm.identity(4)
+    # rows are filled on first use; the rest stay None
+    assert table._rows == [None] * 24
     for i in (0, 1, 5, 23):
         for j in (0, 2, 17):
-            assert elems[table.mul(i, j)] == elems[i] * elems[j]
-        assert elems[table.inv(i)] == elems[i].inv()
+            assert keyed.perm(table.row(j)[i]) == keyed.perm(i) * keyed.perm(j)
+    assert sum(r is not None for r in table._rows) == 3
     assert table.cyclic(0) == frozenset({0})
-    two_cycle_id = table.index[Perm.from_cycles(4, [(0, 1)])]
-    assert len(table.closure([two_cycle_id])) == 2
+    number = {keyed.perm(i): i for i in range(24)}
+    assert len(table.closure([number[Perm.from_cycles(4, [(0, 1)])]])) == 2
     assert len(table.closure([])) == 1
-    # conjugating a subgroup id-set is a bijection preserving size
-    v4_ids = table.closure(
-        [table.index[Perm.from_cycles(4, [(0, 1), (2, 3)])],
-         table.index[Perm.from_cycles(4, [(0, 2), (1, 3)])]]
+    v4 = table.closure(
+        [number[Perm.from_cycles(4, [(0, 1), (2, 3)])],
+         number[Perm.from_cycles(4, [(0, 2), (1, 3)])]]
     )
-    for g in range(24):
-        assert len(table.conjugate_set(v4_ids, g)) == 4
-        assert table.conjugate_set(v4_ids, g) == v4_ids  # V4 is normal in S4
+    assert len(v4) == 4
+    # V4 is normal in S4: every generator's conjugation fixes it
+    for conj in keyed.conjugations():
+        assert frozenset(conj[i] for i in v4) == v4
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 50))
@@ -1153,14 +1155,36 @@ def test_element_table_closure_matches_product_closure(seed):
         if G.order() > 200:
             continue
         table = ElementTable(G)
+        keyed = G.keyed()
         identity = Perm.identity(G.degree)
         rng = random.Random(s)
         for _ in range(10):
             ids = [rng.randrange(len(table)) for _ in range(rng.randint(0, 3))]
-            expected = closure_by_products([table.elements[i] for i in ids], identity)
-            assert {table.elements[i] for i in table.closure(ids)} == expected, s
+            expected = closure_by_products([keyed.perm(i) for i in ids], identity)
+            assert {keyed.perm(i) for i in table.closure(ids)} == expected, s
+            for i in ids:
+                j = rng.randrange(len(table))
+                assert keyed.perm(table.row(j)[i]) == keyed.perm(i) * keyed.perm(j), s
         checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 50))
+def test_conjugations_match_perm_conj(seed):
+    checked = 0
+    for s in range(seed, seed + 50):
+        G = random_group(s)
+        if G.order() > 720:
+            continue
+        keyed = G.keyed()
+        perms = keyed.perms()
+        gens = [g for g in G.generators if not g.is_identity()]
+        maps = keyed.conjugations()
+        assert len(maps) == len(gens), s
+        for g, conj in zip(gens, maps):
+            assert [perms[j] for j in conj] == [x.conj(g) for x in perms], s
+        checked += 1
+    assert checked >= 35
 
 
 # ---------------------------------------------------------------------------
