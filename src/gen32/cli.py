@@ -31,9 +31,7 @@ from .constructions import (
     agl1,
     s0_group,
     sl2,
-    table1_group,
     table1_matrix_group,
-    table2_group,
     table2_matrix_group,
     z_group,
 )
@@ -94,15 +92,15 @@ def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[int], DR
     if kind == "sl2":
         group = sl2(args.p).perm_group(action)
         return f"sl2(p={args.p},action={action})", group, partial(d_exact, group)
-    if kind == "affine":
-        stab = s0_group(args.q)
-        return f"affine(s0,q={args.q})", affine_group(stab), partial(d_affine, stab)
-    if kind == "table1":
-        group = table1_group(args.i)
-        return f"table1(i={args.i})", group, partial(d_affine, table1_matrix_group(args.i))
-    if kind == "table2":
-        group = table2_group(args.i)
-        return f"table2(i={args.i})", group, partial(d_affine, table2_matrix_group(args.i))
+    if kind in ("affine", "table1", "table2"):
+        if kind == "affine":
+            name, stab = f"affine(s0,q={args.q})", s0_group(args.q)
+        elif kind == "table1":
+            name, stab = f"table1(i={args.i})", table1_matrix_group(args.i)
+        else:
+            name, stab = f"table2(i={args.i})", table2_matrix_group(args.i)
+        group = affine_group(stab)
+        return name, group, partial(d_affine, stab, group=group)
     if kind == "zgroup":
         group = z_group(args.m, args.n, args.r)
         return f"zgroup(m={args.m},n={args.n},r={args.r})", group, partial(d_exact, group)

@@ -379,9 +379,13 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     )
 
 
-def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
+def d_affine(
+    G0: MatrixGroup, budget: int = DEFAULT_BUDGET, group: PermGroup | None = None
+) -> DResult:
     """d of V . G0 for a nontrivial G0 irreducible over GF(q), without
-    searching the affine group itself.
+    searching the affine group itself.  ``group`` is V . G0 as
+    ``affine_group(G0)`` builds it, for a caller that has built it
+    already; else it is built here.
 
     A minimal G0 witness, padded with identities to max(2, d(G0)) slots,
     has one slot and then two multiplied by translations until an order
@@ -404,7 +408,7 @@ def d_affine(G0: MatrixGroup, budget: int = DEFAULT_BUDGET) -> DResult:
         raise PreconditionError("d_affine needs a nontrivial stabilizer")
     inner = d_exact(nz, budget)
     value = max(2, inner.value)
-    A = affine_group(G0)
+    A = affine_group(G0) if group is None else group
     total = G0.field.q**G0.dim
     identity = Perm.identity(total)
     base = [extend_fixing_zero(g) for g in inner.witness.elements]

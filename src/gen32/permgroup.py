@@ -22,10 +22,15 @@ Group-level computations run over a stabilizer chain built by a
 deterministic incremental Schreier-Sims procedure: base points are always
 the smallest point moved by the offending element, and the chain is
 verified bottom-up, so equal inputs always produce identical chains.
-Elements are sifted through a chain on their base images alone, and a
-sifted element is compared with the product of the transversal elements
-divided off, so membership tests and the chain's verification build no
-product per sifted level and no inverse of a transversal element.
+Each level keeps its orbit as a breadth-first Schreier tree, one edge
+(parent point, generator) per orbit point, not as degree-n transversal
+elements: the transversal element u_delta is the product of the
+generators on the tree path to delta, and it is built at full degree
+only when it is asked for, then kept.  Elements are sifted through a
+chain on their base images alone, each u_delta^-1 applied to them by
+walking up the tree, so membership tests and the chain's verification
+build no product per sifted level and no inverse of a transversal
+element.
 
 A group whose structure fixes a base is given that base when it is made:
 a known base B of G is a sequence of points that only the identity of G
@@ -33,11 +38,12 @@ fixes, so two elements of G are equal exactly when they agree on B.
 Matrix groups know the codes of the standard basis vectors, affine
 groups the codes of an F_p-basis, AGL(1, q) the points 0 and 1, a
 regular action any one point, and a subgroup of G (``subgroup``) G's
-chain base.  The chain's verification then compares two elements of G on
-B alone, |B| lookups instead of a degree-n composition, and builds a
-degree-n product only for a residue that becomes a strong generator.
-With no base known, B is every point.  The decision is exact either way,
-so the chain does not depend on B.
+chain base.  The chain's verification then decides each Schreier
+generator on B alone, and builds degree-n elements only for a residue
+that becomes a strong generator; a level whose Schreier generators fix a
+chain base that contains B is not checked at all.  With no base known,
+B is every point, and every level builds its whole transversal.  The
+decision is exact either way, so the chain does not depend on B.
 Element enumeration, when a task genuinely needs it, is a breadth-first
 closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
@@ -52,13 +58,13 @@ images of every conjugate by a generator:
 key(g^-1 x g)[i] = g[x[g^-1[b_i]]] for the i-th base point b_i.
 Element enumeration, conjugacy classes, coset labels and the d search
 all run on one keyed enumeration of the group (``KeyedElements``).  It
-builds no degree-n product: a ``Perm`` is built, from the chain's
-transversals, only for an element a caller asks for.  Keys are gathered
-a layer at a time: the keys of a whole breadth-first layer, laid end to
-end, are mapped by a generator in one gather, and so are the keys of a
-subgroup by a coset representative; conjugation acts on element numbers
-through one integer map per generator, gathered column by column from
-the keys.
+builds no degree-n product: a ``Perm`` is built, from the transversal
+elements its base images are sifted by, only for an element a caller
+asks for.  Keys are gathered a layer at a time: the keys of a whole
+breadth-first layer, laid end to end, are mapped by a generator in one
+gather, and so are the keys of a subgroup by a coset representative;
+conjugation acts on element numbers through one integer map per
+generator, gathered column by column from the keys.
 
 The enumeration reads a chain whose base is lex-least: each base point
 b_(i+1) is the least point moved by the stabilizer of b_1 .. b_i.  Two
@@ -244,19 +250,96 @@ class Perm:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "transversal")
+    """One level of a stabilizer chain: a base point, the strong
+    generators fixing every earlier base point, and the breadth-first
+    Schreier tree of the base point's orbit under them.
+
+    ``parent[delta]`` is the tree edge (gamma, e) that first reached
+    delta, delta = gens[e][gamma], and None at the base point.  The
+    transversal element u_delta, which maps the base point to delta, is
+    u_gamma * gens[e]: the product of the generators on the tree path
+    from the base point.  Its image tuple is built only on request
+    (``u``) and kept in ``built`` until the tree is rebuilt.
+    """
+
+    __slots__ = ("point", "gens", "orbit", "parent", "built", "_inverses")
 
     def __init__(self, point: int):
         self.point = point
         self.gens: list[Perm] = []
         self.orbit: list[int] = []
-        self.transversal: dict[int, Perm] = {}
+        self.parent: dict[int, tuple[int, int] | None] = {}
+        self.built: dict[int, tuple[int, ...]] = {}
+        self._inverses: list[tuple[int, ...]] | None = None
+
+    def close(self, identity: tuple[int, ...], transversal: bool) -> None:
+        """Rebuild the orbit and its tree by breadth-first closure under
+        the generators; with ``transversal``, build every u_delta too,
+        one gather each."""
+        parent: dict[int, tuple[int, int] | None] = {self.point: None}
+        orbit = [self.point]
+        for gamma in orbit:
+            for e, s in enumerate(self.gens):
+                delta = s.images[gamma]
+                if delta not in parent:
+                    parent[delta] = (gamma, e)
+                    orbit.append(delta)
+        self.parent, self.orbit = parent, orbit
+        built = self.built = {self.point: identity}
+        self._inverses = None
+        if transversal:
+            for delta in orbit[1:]:
+                gamma, e = parent[delta]
+                built[delta] = _take(self.gens[e].images, built[gamma])
+
+    def u(self, delta: int) -> tuple[int, ...]:
+        """The image tuple of u_delta: that of delta's nearest built
+        ancestor on the tree, times the generators on the path below it,
+        each product kept."""
+        built = self.built
+        images = built.get(delta)
+        if images is None:
+            path = []
+            while delta not in built:
+                gamma, e = self.parent[delta]
+                path.append((delta, e))
+                delta = gamma
+            images = built[delta]
+            for delta, e in reversed(path):
+                images = built[delta] = _take(self.gens[e].images, images)
+        return images
+
+    def unwind(self, delta: int, points: Sequence[int]) -> Sequence[int]:
+        """u_delta^-1's images of some points: by ``index`` on u_delta
+        when it is built, else up the tree, u_delta^-1 = gens[e]^-1 *
+        u_gamma^-1, one lookup in a generator's inverse images per edge."""
+        images = self.built.get(delta)
+        if images is not None:
+            return [images.index(y) for y in points]
+        if not points:
+            return points
+        if self._inverses is None:
+            self._inverses = [g.inv().images for g in self.gens]
+        parent, inverses = self.parent, self._inverses
+        path = []
+        edge = parent[delta]
+        while edge is not None:
+            delta, e = edge
+            path.append(inverses[e])
+            edge = parent[delta]
+        out = []
+        for y in points:
+            for inverse in path:
+                y = inverse[y]
+            out.append(y)
+        return out
 
 
 class StabChain:
     """A verified stabilizer chain: per level a base point, the strong
-    generators fixing all earlier base points, and a transversal mapping
-    the base point onto its orbit."""
+    generators fixing all earlier base points, and the Schreier tree of
+    the base point's orbit, from which each transversal element is built
+    only when it is asked for."""
 
     __slots__ = ("degree", "levels")
 
@@ -274,38 +357,47 @@ class StabChain:
             n *= len(level.orbit)
         return n
 
-    def sift(self, images: list[int], start: int = 0) -> tuple[list[tuple[int, ...]], int]:
+    def sift(
+        self, images: Sequence[int], start: int = 0
+    ) -> tuple[list[tuple[int, int]], int, Sequence[int]]:
         """Sift an element x, given by its images of the base points of
-        the levels from ``start``, through those levels.
+        the levels from ``start`` and then of any further points, through
+        those levels.
 
-        Returns the image tuples of the transversal elements u_1, u_2,
-        ..., u_k divided off, in order, and the depth reached.  The residue
-        x * u_1^-1 * ... * u_k^-1 fixes the base points of the levels
-        from start up to depth, and it is the identity exactly when
-        x == u_k * ... * u_1.  x is in the group iff start == 0,
-        depth == len(levels) and the residue is the identity.  Only base
-        images are moved, by u^-1[y] = u.images.index(y), so no inverse
-        is built.
+        Returns the (level, orbit point) pair of each transversal element
+        u_1, u_2, ..., u_k divided off, in order, the depth reached, and
+        the residue's images of the points not yet sifted on: from the
+        base point at that depth, so at full depth those of the further
+        points.  The residue x * u_1^-1 * ... * u_k^-1 fixes the base
+        points of the levels from start up to depth, and it is the
+        identity exactly when x == u_k * ... * u_1.  x is in the group iff
+        start == 0, depth == len(levels) and the residue is the identity.
+        Only the images are moved, each level's u^-1 walked up its tree
+        (``_Level.unwind``), so no transversal element is built.
         """
         levels = self.levels
         divisors = []
         for i in range(start, len(levels)):
-            delta, *images = images
-            if delta == levels[i].point:
+            level = levels[i]
+            delta = images[0]
+            if delta == level.point:
+                images = images[1:]
                 continue
-            u = levels[i].transversal.get(delta)
-            if u is None:
-                return divisors, i
-            divisors.append(u.images)
-            images = [u.images.index(y) for y in images]
-        return divisors, len(levels)
+            if delta not in level.parent:
+                return divisors, i, images
+            divisors.append((i, delta))
+            images = level.unwind(delta, images[1:])
+        return divisors, len(levels), images
 
     def element(self, key: Sequence[int]) -> Perm:
         """The element of the chain's group with the given images of the
         base points: x = u_k * ... * u_1 for the transversal elements
-        u_1 .. u_k that sifting the key divides off."""
-        divisors, _ = self.sift(list(key))
-        return Perm._raw(_compose(divisors[::-1] or [tuple(range(self.degree))]))
+        u_1 .. u_k that sifting the key divides off, each built and kept
+        by its level (``_Level.u``)."""
+        divisors, _, _ = self.sift(key)
+        levels = self.levels
+        factors = [levels[i].u(delta) for i, delta in reversed(divisors)]
+        return Perm._raw(_compose(factors or [tuple(range(self.degree))]))
 
     def contains(self, g: Perm) -> bool:
         # g may lie outside the group, so it is compared at every point
@@ -321,25 +413,68 @@ def _compose(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
     return images
 
 
-def _close(level: _Level, identity: Perm) -> set[tuple[int, int]]:
-    """Rebuild a level's orbit and transversal by breadth-first closure
-    under its generators, u_delta = u_gamma * s for delta = s[gamma], and
-    return the (gamma, generator index) edges of the closure's tree."""
-    level.orbit = [level.point]
-    level.transversal = {level.point: identity}
-    tree = set()
-    k = 0
-    while k < len(level.orbit):
-        gamma = level.orbit[k]
-        u = level.transversal[gamma]
-        for e, s in enumerate(level.gens):
-            delta = s.images[gamma]
-            if delta not in level.transversal:
-                level.transversal[delta] = u * s
-                level.orbit.append(delta)
-                tree.add((gamma, e))
-        k += 1
-    return tree
+def _first_residue(
+    chain: StabChain, i: int, extra: tuple[int, ...] | None
+) -> tuple[Perm, int] | None:
+    """The first Schreier generator of level i, in orbit and generator
+    order, that does not sift to the identity, as its residue at full
+    degree and the depth its sift reached; None when every one does.
+
+    The Schreier generator of an orbit point gamma and a generator s is
+    h = u_gamma * s * u_delta^-1, with delta = s[gamma]; it fixes the base
+    points of level i and of every earlier one, and it is the identity
+    when (gamma, s) is a tree edge.  Its images of the later base points
+    are sifted on through the later levels.  If that divides off
+    u_1 .. u_k, h sifts to the identity exactly when
+    u_gamma * s == u_k * ... * u_1 * u_delta.
+
+    ``extra`` is None when no base of the group is known: then both
+    sides are compared at every point, on the transversal elements that
+    ``_Level.close`` has built, and u_delta^-1 is read off u_delta by
+    ``index``.  Otherwise it is the part of a known base B outside the
+    chain's base, and no transversal element is built.  u_gamma's images
+    of the later base points and of ``extra`` are gathered once per
+    pass, one gather per orbit point down the tree; s maps them, and
+    u_delta^-1 is walked up the tree.  At full depth the residue fixes
+    every chain base point, so it is the identity exactly when it also
+    fixes ``extra``.
+    """
+    levels = chain.levels
+    level = levels[i]
+    parent, gens, built = level.parent, level.gens, level.built
+    later = chain.base[i + 1 :]
+    depth = len(levels)
+    if extra is not None:
+        # u_gamma's images of the later base points and of extra
+        on = {level.point: later + extra}
+        for delta in level.orbit[1:]:
+            gamma, e = parent[delta]
+            on[delta] = _take(gens[e].images, on[gamma])
+    for gamma in level.orbit:
+        for e, s in enumerate(gens):
+            s_images = s.images
+            delta = s_images[gamma]
+            if parent[delta] == (gamma, e):
+                continue  # a tree edge: h is the identity
+            if extra is not None:
+                images = _take(s_images, on[gamma])
+                if images == on[delta]:
+                    continue  # h fixes every chain base point and extra
+                divisors, j, rest = chain.sift(level.unwind(delta, images), i + 1)
+                if j == depth and tuple(rest) == extra:
+                    continue
+                u_delta = level.u(delta)
+                product = _take(s_images, level.u(gamma))
+            else:
+                u_delta = built[delta]
+                product = _take(s_images, built[gamma])
+                images = [b if product[b] == u_delta[b] else u_delta.index(product[b]) for b in later]
+                divisors, j, _ = chain.sift(images, i + 1)
+            quotient = _compose([levels[l].u(d) for l, d in reversed(divisors)] + [u_delta])
+            if j == depth and product == quotient:
+                continue
+            return Perm._raw(_take(Perm._raw(quotient).inv().images, product)), j
+    return None
 
 
 def build_chain(
@@ -353,27 +488,21 @@ def build_chain(
     ``initial_base`` forces the first base points (used to read off point
     stabilizers); further base points are always the smallest point moved
     by the element that required them.  The chain is verified from the
-    deepest level upward; any Schreier generator that fails to sift is
-    appended as a strong generator of every level it fixes, and
-    verification resumes at the deepest level it touched.
+    deepest level upward; any Schreier generator that fails to sift
+    (``_first_residue``) is appended as a strong generator of every level
+    it fixes, and verification resumes at the deepest level it touched.
 
-    The Schreier generator of an orbit point gamma and a level generator
-    s is h = u_gamma * s * u_delta^-1, with delta = s[gamma]; it fixes
-    the base points of its level and of every earlier one.  When
-    (gamma, s) is an edge of the orbit's breadth-first tree, h is the
-    identity and no product is formed.  Otherwise h's images of the later
-    base points are read off u_gamma, s and u_delta (u_delta^-1 is looked
-    up only where u_gamma * s and u_delta disagree) and sifted through the
-    later levels on base images alone.  If that divides off u_1 .. u_k,
-    h sifts to the identity exactly when
-    u_gamma * s == u_k * ... * u_1 * u_delta.  Both sides are elements of
-    the group, so they are equal exactly when they agree on a base B of
-    it: ``known_base`` when given, which must be a base of the group the
-    generators generate, else every point.  Only their images of B are
-    composed, and only a residue that becomes a new strong generator is
-    built at full degree.
+    Each level is kept as the Schreier tree of its orbit
+    (``_Level.close``).  ``known_base``, when given, must be a base B of
+    the group the generators generate, and decides each Schreier
+    generator on B: a level whose Schreier generators fix a chain base
+    containing B is skipped, and only a residue that becomes a strong
+    generator is built at full degree, from the transversal elements it
+    was divided by.  With no base known, B is every point, so every
+    level builds its whole transversal on each closure.  The decision is
+    exact either way, so the chain does not depend on B.
     """
-    identity = Perm.identity(degree)
+    identity = tuple(range(degree))
     gens = [g for g in generators if not g.is_identity()]
     for g in gens:
         if g.degree != degree:
@@ -394,10 +523,6 @@ def build_chain(
     def add_level_for(g: Perm) -> None:
         levels.append(_Level(g.min_moved()))
 
-    def on_base(images: tuple[int, ...]) -> tuple[int, ...]:
-        """An element's images of B."""
-        return images if known_base is None else _take(images, known_base)
-
     for g in gens:
         if base_prefix_fixed(g, len(levels)):
             add_level_for(g)
@@ -409,52 +534,29 @@ def build_chain(
             else:
                 break
 
-    if not levels:
-        return StabChain(degree, [])
-
-    # per level, the (gamma, generator index) edges of the orbit's tree
-    tree_edges = {i: _close(level, identity) for i, level in enumerate(levels)}
-
+    transversal = known_base is None
+    for level in levels:
+        level.close(identity, transversal)
     chain = StabChain(degree, levels)
     i = len(levels) - 1
     while i >= 0:
-        level = levels[i]
-        tree = tree_edges[i]
-        later = [lv.point for lv in levels[i + 1 :]]
-        modified_at = None
-        for gamma in level.orbit:
-            u_gamma = level.transversal[gamma].images
-            u_gamma_on_base = on_base(u_gamma)
-            for e, s in enumerate(level.gens):
-                if (gamma, e) in tree:
-                    continue
-                s_images = s.images
-                u_delta = level.transversal[s_images[gamma]].images
-                # the base images of u_gamma * s * u_delta^-1 on later levels
-                images = []
-                for b in later:
-                    y = s_images[u_gamma[b]]
-                    images.append(b if y == u_delta[b] else u_delta.index(y))
-                divisors, j = chain.sift(images, i + 1)
-                quotient = [*reversed(divisors), u_delta]
-                on_b = _compose([on_base(quotient[0]), *quotient[1:]])
-                if _take(s_images, u_gamma_on_base) == on_b:
-                    continue
-                product = _compose([u_gamma, s_images])
-                residue = Perm._raw(_compose([product, Perm._raw(_compose(quotient)).inv().images]))
-                if j == len(levels):
-                    add_level_for(residue)
-                for l in range(i + 1, j + 1):
-                    levels[l].gens.append(residue)
-                    tree_edges[l] = _close(levels[l], identity)
-                modified_at = j
-                break
-            if modified_at is not None:
-                break
-        if modified_at is not None:
-            i = modified_at
-        else:
+        extra = None
+        if known_base is not None:
+            base = set(chain.base)
+            extra = tuple(b for b in known_base if b not in base)
+        found = None
+        if extra is None or extra or i + 1 < len(levels):
+            found = _first_residue(chain, i, extra)
+        if found is None:
             i -= 1
+            continue
+        residue, j = found
+        if j == len(levels):
+            add_level_for(residue)
+        for l in range(i + 1, j + 1):
+            levels[l].gens.append(residue)
+            levels[l].close(identity, transversal)
+        i = j
     return chain
 
 
@@ -463,18 +565,18 @@ def chain_from_stabilizer(
 ) -> StabChain:
     """The chain of G = <generators> with first base point ``point``,
     assembled from a verified chain of the point stabilizer G_point: one
-    level for the orbit of ``point`` under the generators, on top of the
-    stabilizer chain's levels.
+    level for the Schreier tree of the orbit of ``point`` under the
+    generators, on top of the stabilizer chain's levels.
 
     No Schreier generator is sifted, so the caller must know that the
     stabilizer chain's group is exactly G_point (its base must not contain
-    ``point``).  Then the orbit level, built by the same closure as in
-    ``build_chain``, and the stabilizer's verified levels form a verified
-    chain of G, and |G| = |orbit| * |G_point|.
+    ``point``).  Then the orbit level, closed as in ``build_chain`` but
+    with no transversal element built, and the stabilizer's verified
+    levels form a verified chain of G, and |G| = |orbit| * |G_point|.
     """
     level = _Level(point)
     level.gens = [g for g in generators if not g.is_identity()]
-    _close(level, Perm.identity(degree))
+    level.close(tuple(range(degree)), False)
     return StabChain(degree, [level, *stabilizer.levels])
 
 
@@ -762,7 +864,8 @@ class PermGroup:
         Layers are generated by right multiplication with the generators
         and each new layer is sorted lexicographically, so the resulting
         order is reproducible.  The closure runs on keys (``keyed()``),
-        and each element is built once from the chain's transversals.
+        and each element is built once from the chain's transversal
+        elements (``StabChain.element``).
         Capped at 10^5 elements.
         """
         return self.keyed().perms()

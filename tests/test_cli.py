@@ -217,6 +217,24 @@ def test_analyze_cyclic_4(capsys):
     assert payload["d"]["witness_verified"] is True
 
 
+def test_analyze_builds_the_affine_group_once(capsys, monkeypatch):
+    from gen32 import cli, constructions, gens
+
+    calls = []
+    real = constructions.affine_group
+
+    def counting(G0):
+        calls.append(G0)
+        return real(G0)
+
+    # rebound wherever it was imported by name
+    for module in (cli, constructions, gens):
+        monkeypatch.setattr(module, "affine_group", counting)
+    code, out, _ = run_cli(capsys, "analyze", "table1", "--i", "1")
+    assert code == 0 and json.loads(out)["d"]["value"] == 3
+    assert len(calls) == 1
+
+
 def test_analyze_table1_row1(capsys):
     code, out, _ = run_cli(capsys, "analyze", "table1", "--i", "1")
     assert code == 0
@@ -303,7 +321,7 @@ def test_analyze_in_with_a_kind_or_kind_flag_is_usage_error(tmp_path, capsys, mo
     ids=["agl1-action", "sl2-q", "table1-action", "zgroup-p", "affine-i"],
 )
 def test_a_kind_flag_the_kind_does_not_read_is_usage_error(capsys, monkeypatch, argv):
-    for ctor in ("agl1", "sl2", "table1_group", "z_group", "s0_group"):
+    for ctor in ("agl1", "sl2", "table1_matrix_group", "affine_group", "z_group", "s0_group"):
         monkeypatch.setattr(f"gen32.cli.{ctor}", lambda *a: pytest.fail("group was built"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

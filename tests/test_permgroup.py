@@ -347,17 +347,27 @@ def chain_by_strip(degree, generators, initial_base=()):
 
 
 def chain_levels(chain):
-    return [(lv.point, lv.gens, lv.orbit, lv.transversal) for lv in chain.levels]
+    """(point, strong generators, orbit, u_delta for each delta in orbit
+    order) per level, each u_delta built from the level's Schreier tree."""
+    return [
+        (lv.point, lv.gens, lv.orbit, [Perm(lv.u(delta)) for delta in lv.orbit])
+        for lv in chain.levels
+    ]
+
+
+def reference_levels(levels):
+    """The reference's levels in the form of ``chain_levels``."""
+    return [
+        (point, gens, orbit, [transversal[delta] for delta in orbit])
+        for point, gens, orbit, transversal in levels
+    ]
 
 
 def assert_chain_matches_reference(G, initial_base):
     chain = build_chain(G.degree, G.generators, initial_base)
     levels, contains = chain_by_strip(G.degree, G.generators, initial_base)
-    assert chain_levels(chain) == levels
-    # the same transversal elements, in the same insertion order
-    assert [list(lv.transversal.items()) for lv in chain.levels] == [
-        list(t.items()) for *_, t in levels
-    ]
+    # the same orbits in the same order, and the same transversal elements
+    assert chain_levels(chain) == reference_levels(levels)
     return chain, contains
 
 
@@ -398,10 +408,7 @@ def test_chain_matches_strip_reference_on_bundled_groups(make):
 def assert_known_base_chain_matches_reference(degree, generators, known_base, initial_base=()):
     chain = build_chain(degree, generators, initial_base, known_base)
     levels, _ = chain_by_strip(degree, generators, initial_base)
-    assert chain_levels(chain) == levels
-    assert [list(lv.transversal.items()) for lv in chain.levels] == [
-        list(t.items()) for *_, t in levels
-    ]
+    assert chain_levels(chain) == reference_levels(levels)
 
 
 @pytest.mark.parametrize("seed", range(0, 400, 100))
@@ -504,21 +511,47 @@ def test_known_base_chain_composes_few_degree_n_tuples(monkeypatch):
     from gen32 import permgroup
 
     # verifying sl2(29)'s chain on 840 points sifts over a thousand
-    # Schreier generators; on the base only the residues that become
-    # strong generators are composed at full degree
-    full = []
-    real = permgroup._compose
-
-    def counting(factors):
-        images = real(factors)
-        if len(images) == 840:
-            full.append(images)
-        return images
-
-    monkeypatch.setattr(permgroup, "_compose", counting)
+    # Schreier generators, and its first level's tree has 840 points; on
+    # the base only the residues that become strong generators, and the
+    # transversal elements they are divided by, are built at full degree
     G = sl2(29).perm_group()
+    given = {id(g.images) for g in G.generators}
+    # every degree-840 tuple made, by identity, held so no id is reused
+    made = {}
+
+    def counting(real, images_of):
+        def wrapper(*args):
+            out = real(*args)
+            images = images_of(out)
+            if len(images) == 840 and id(images) not in given:
+                made[id(images)] = images
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(permgroup, "_take", counting(permgroup._take, lambda t: t))
+    monkeypatch.setattr(permgroup, "_compose", counting(permgroup._compose, lambda t: t))
+    monkeypatch.setattr(
+        permgroup.Perm, "__mul__", counting(permgroup.Perm.__mul__, lambda p: p.images)
+    )
     assert G.order() == 29 * (29 * 29 - 1)
-    assert 0 < len(full) <= 10
+    assert 0 < len(made) <= 10
+
+
+def test_regular_chain_on_a_known_base_stays_small():
+    import tracemalloc
+
+    # one level of 3,660 points: a transversal of degree-3,660 tuples
+    # would take about 100 MB, its Schreier tree well under 4 MB
+    G = z_group(61, 60, 2)
+    tracemalloc.start()
+    try:
+        chain = G.chain()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.order() == 3660
+    assert peak < 4 * 2**20
 
 
 def keyed_by_key_reference(G):
@@ -606,7 +639,7 @@ def test_action_on_base_orbits_is_faithful_and_keeps_the_key_order():
         # the given chain is a chain of the action
         fresh = PermGroup(action.degree, action.generators)
         given = action.chain().levels
-        assert all(fresh.contains(u) for lv in given for u in lv.transversal.values())
+        assert all(fresh.contains(Perm(lv.u(delta))) for lv in given for delta in lv.orbit)
     assert checked >= 50
 
 
