@@ -28,7 +28,7 @@ generating tuple satisfies, so no witness is ever filtered away.  The
 orbit filter builds no group per candidate: the group P of the prefix
 is fixed for the whole last-slot scan, so its orbits are found once,
 for the first candidate tested, and each candidate x grows every orbit
-of <P, x> by whole orbits of P (``PermGroup.orbit_length_with``).  A
+of <P, x> by whole orbits of P (``PermGroup.orbit_with``).  A
 candidate that passes both is accepted when its Schreier-Sims order is
 |G|, and the returned witness is checked once more by ``generates``.
 
@@ -247,8 +247,8 @@ class _Search:
         """Whether <P, g>, for a subgroup P of G and g in G, has G's
         orbits: its orbits refine G's, so it must only be transitive on
         G's non-singleton orbits, each grown by whole orbits of P
-        (``PermGroup.orbit_length_with``)."""
-        return all(P.orbit_length_with(g, o[0]) == len(o) for o in self._orbits)
+        (``PermGroup.orbit_with``)."""
+        return all(len(P.orbit_with(g, o[0])) == len(o) for o in self._orbits)
 
     def run_level(self, k: int, limit: int | None) -> tuple[Perm, ...] | None:
         """First witness of size exactly k, or None; honors the test

@@ -902,8 +902,8 @@ class PermGroup:
             self._orbit_of = label
         return self._orbits
 
-    def orbit_length_with(self, g: Perm, alpha: int) -> int:
-        """The length of the orbit of alpha under <self, g>.
+    def orbit_with(self, g: Perm, alpha: int) -> list[int]:
+        """The points of the orbit of alpha under <self, g>, unsorted.
 
         That orbit is a union of orbits of this group, which are found
         once (``orbits``): it is grown from alpha's by whole orbits, each
@@ -917,23 +917,25 @@ class PermGroup:
         if len(orbits) == self.degree:
             # this group is trivial, so the orbit is alpha's cycle under g
             images = g.images
-            x, length = images[alpha], 1
+            points = [alpha]
+            x = images[alpha]
             while x != alpha:
-                x, length = images[x], length + 1
-            return length
+                points.append(x)
+                x = images[x]
+            return points
         label = self._orbit_of
         # into[x]: the orbit that g maps x into
         into = _take(label, g.images)
         joined = {label[alpha]}
         frontier = orbits[label[alpha]]
-        length = 0
+        points = []
         while frontier:
-            length += len(frontier)
+            points += frontier
             new = set(map(into.__getitem__, frontier))
             new -= joined
             joined |= new
             frontier = list(chain.from_iterable(map(orbits.__getitem__, new)))
-        return length
+        return points
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

@@ -16,11 +16,13 @@ on n points with point stabilizer H:
 * regular / semiregular: trivial stabilizers, with / without
   transitivity.
 
-Primitivity is decided by Atkinson's algorithm: the finest invariant
-partition merging {0, beta} is computed by a union-find sweep, and the
-group is primitive iff every such partition is the one-block partition.
-H maps the partition for beta to the one for beta^h, so one sweep per
-H-orbit (rank - 1 sweeps, from each orbit's least point) decides it.
+Primitivity is decided by the block-overgroup correspondence: the
+blocks containing 0 are the orbits of 0 under the groups between H and
+G, so the least block containing 0 and beta is 0's orbit under <H, g>
+for any g mapping 0 to beta, grown by whole H-orbits.  The group is
+primitive iff every such block is the whole domain.  H maps the block
+for beta to the one for beta^h, so one block per H-orbit (rank - 1
+blocks, from each orbit's least point) decides it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .permgroup import ELEMENT_LIMIT, PermGroup
+from .permgroup import ELEMENT_LIMIT, Perm, PermGroup
 
 
 class TransitivityReport(NamedTuple):
@@ -93,41 +95,24 @@ def is_three_halves_transitive(G: PermGroup) -> bool:
 
 
 def minimal_block_with(G: PermGroup, alpha: int, beta: int) -> list[int]:
-    """The block containing alpha of the finest G-invariant partition
-    merging alpha and beta (Atkinson's union-find sweep).
+    """The least block of G containing alpha and beta, sorted: alpha's
+    orbit under <G_alpha, g> for g = u_alpha^-1 * u_beta, which maps
+    alpha to beta, with u_alpha and u_beta read off the first level of
+    G's chain (``PermGroup.orbit_with``).
 
     Requires a transitive group and distinct points.
     """
+    n = G.degree
+    if not (0 <= alpha < n and 0 <= beta < n):
+        raise PreconditionError(f"points {alpha}, {beta} out of range 0..{n - 1}")
     if not G.is_transitive():
         raise PreconditionError("block systems are defined for transitive groups")
     if alpha == beta:
         raise PreconditionError("points must be distinct")
-    n = G.degree
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    union(alpha, beta)
-    queue = [(alpha, beta)]
-    while queue:
-        u, v = queue.pop()
-        for g in G.generators:
-            x, y = g.images[u], g.images[v]
-            if union(x, y):
-                queue.append((x, y))
-    root = find(alpha)
-    return [x for x in range(n) if find(x) == root]
+    # G is transitive, so the first level's orbit is every point
+    level = G.chain().levels[0]
+    g = Perm._raw(level.u(alpha)).inv() * Perm._raw(level.u(beta))
+    return sorted(G.point_stabilizer(alpha).orbit_with(g, alpha))
 
 
 def is_primitive(G: PermGroup) -> bool:

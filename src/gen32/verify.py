@@ -39,7 +39,6 @@ from .constructions import (
     sl2,
     sl2_order,
     sl2_twisted_check,
-    table1_group,
     table1_matrix_group,
     table2_matrix_group,
     z_group,
@@ -109,12 +108,12 @@ def verify_table1() -> list[ClaimVerdict]:
     for i in (1, 2, 3, 4):
         exp = TABLE1_EXPECTED[i]
         G0 = table1_matrix_group(i)
-        G = table1_group(i)
+        G = affine_group(G0)
         cid = f"table1.G{i}"
         out.append(_claim(f"{cid}.n", exp["n"], lambda G=G: G.degree))
         out.append(_claim(f"{cid}.order0", exp["order0"], lambda G0=G0: G0.order()))
         out.append(_claim(f"{cid}.rk", exp["rk"], lambda G=G: rank(G)))
-        out.append(_claim(f"{cid}.d", exp["d"], lambda G0=G0: d_affine(G0).value))
+        out.append(_claim(f"{cid}.d", exp["d"], lambda G0=G0, G=G: d_affine(G0, group=G).value))
         out.append(_claim(f"{cid}.primitive", True, lambda G=G: is_primitive(G)))
         out.append(
             _claim(f"{cid}.threehalves", True, lambda G=G: is_three_halves_transitive(G))
@@ -174,11 +173,11 @@ def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     generators, must act transitively on the underlying points; the scan
     is exhaustive and fails when no element has that order.  G0's
     orbits are found once, and each candidate's orbit of point 0 is
-    grown by whole orbits of G0 (``PermGroup.orbit_length_with``)."""
+    grown by whole orbits of G0 (``PermGroup.orbit_with``)."""
     candidates = M0.elements_of_order(order_wanted)
     if not candidates:
         return False
-    return all(G0.orbit_length_with(g, 0) == M0.degree for g in candidates)
+    return all(len(G0.orbit_with(g, 0)) == M0.degree for g in candidates)
 
 
 def verify_table2() -> list[ClaimVerdict]:

@@ -235,6 +235,24 @@ def test_analyze_builds_the_affine_group_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_reproduce_builds_each_table1_affine_group_once(capsys, monkeypatch):
+    from gen32 import cli, constructions, gens, verify
+
+    calls = []
+    real = constructions.affine_group
+
+    def counting(G0):
+        calls.append(G0)
+        return real(G0)
+
+    # rebound wherever it was imported by name
+    for module in (cli, constructions, gens, verify):
+        monkeypatch.setattr(module, "affine_group", counting)
+    code, out, _ = run_cli(capsys, "reproduce", "--suite", "table1")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert len(calls) == 4
+
+
 def test_analyze_table1_row1(capsys):
     code, out, _ = run_cli(capsys, "analyze", "table1", "--i", "1")
     assert code == 0
@@ -483,6 +501,7 @@ def test_reports_do_not_depend_on_the_hash_seed():
         ("reproduce", "--suite", "corollary3"),
         ("analyze", "agl1", "--q", "8"),
         ("analyze", "sl2", "--p", "7", "--action", "all"),
+        ("analyze", "table1", "--i", "4"),
     )
     for seed in ("0", "1"):
         for argv in argvs:

@@ -828,7 +828,9 @@ def test_orbit_length_with_matches_the_joined_group(seed):
             for g in (random_perm(rng, n), *G.generators):
                 joined = PermGroup(n, P.generators + (g,))
                 for a in range(n):
-                    assert P.orbit_length_with(g, a) == len(joined.orbit(a)), s
+                    points = P.orbit_with(g, a)
+                    assert len(points) == len(set(points)), s
+                    assert sorted(points) == joined.orbit(a), s
                     if not P.generators:
                         seen.add("no generators")
                     elif len(P.orbit(a)) == 1:
@@ -841,12 +843,12 @@ def test_orbit_length_with_matches_the_joined_group(seed):
 def test_orbit_length_with_small_cases():
     P = PermGroup(5, (Perm.from_cycles(5, [(0, 1)]),))
     g = Perm.from_cycles(5, [(1, 2)])
-    assert [P.orbit_length_with(g, a) for a in range(5)] == [3, 3, 3, 1, 1]
-    assert PermGroup(5, ()).orbit_length_with(g, 2) == 2
+    assert [sorted(P.orbit_with(g, a)) for a in range(5)] == [[0, 1, 2]] * 3 + [[3], [4]]
+    assert sorted(PermGroup(5, ()).orbit_with(g, 2)) == [1, 2]
     with pytest.raises(PreconditionError):
-        P.orbit_length_with(g, 5)
+        P.orbit_with(g, 5)
     with pytest.raises(PreconditionError):
-        P.orbit_length_with(Perm.identity(4), 0)
+        P.orbit_with(Perm.identity(4), 0)
 
 
 def exponent_divides(G, e):

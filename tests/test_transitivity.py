@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gen32 import transitivity
@@ -98,6 +100,17 @@ def test_minimal_block_atkinson():
     assert len(minimal_block_with(symmetric_group(4), 0, 3)) == 4
     # dihedral on 4 vertices: diagonals are blocks
     assert sorted(minimal_block_with(dihedral(4), 0, 2)) == [0, 2]
+
+
+def test_minimal_block_range_checks_both_points():
+    C4 = cyclic_regular(4)
+    for alpha, beta in ((0, 9), (9, 0), (0, -1), (-1, 0), (0, 4)):
+        with pytest.raises(PreconditionError):
+            minimal_block_with(C4, alpha, beta)
+    with pytest.raises(PreconditionError):
+        minimal_block_with(C4, 2, 2)
+    with pytest.raises(PreconditionError):
+        minimal_block_with(PermGroup(4, (Perm.from_cycles(4, [(0, 1)]),)), 0, 1)
 
 
 def test_primitive():
@@ -209,7 +222,7 @@ def frobenius_by_enumeration(G):
 
 
 def primitive_by_full_sweep(G):
-    """Atkinson's sweep from every point beta != 0."""
+    """The least block containing 0 and beta, for every point beta != 0."""
     return all(len(minimal_block_with(G, 0, beta)) == G.degree for beta in range(1, G.degree))
 
 
@@ -288,3 +301,103 @@ def test_primitive_sweeps_once_per_stabilizer_orbit(name, monkeypatch):
     assert sweeps == least_points[: len(sweeps)]
     if primitive:
         assert len(sweeps) == rank(G) - 1
+
+
+# ---------------------------------------------------------------------------
+# blocks against Atkinson's union-find sweep
+
+
+def block_by_union_find(G, alpha, beta):
+    """The block containing alpha of the finest G-invariant partition
+    merging alpha and beta, by Atkinson's union-find sweep: merge the
+    pair, then the images of every merged pair under each generator."""
+    parent = list(range(G.degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    union(alpha, beta)
+    queue = [(alpha, beta)]
+    while queue:
+        u, v = queue.pop()
+        for g in G.generators:
+            x, y = g.images[u], g.images[v]
+            if union(x, y):
+                queue.append((x, y))
+    root = find(alpha)
+    return [x for x in range(G.degree) if find(x) == root]
+
+
+def random_transitive_group(seed):
+    """A transitive group from ``random.Random(seed)``: 1-3 random
+    elements of Sym(a) wr Sym(b) on a*b points (a, b in 2..4), each
+    permuting the blocks {a*j .. a*j + a - 1} and moving points within
+    them, conjugated by one random permutation; every third seed adds a
+    uniformly random permutation, which most often makes it primitive.
+    None when the generators are intransitive."""
+    rng = random.Random(seed)
+    a, b = rng.randint(2, 4), rng.randint(2, 4)
+    n = a * b
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        blocks = rng.sample(range(b), b)
+        images = [0] * n
+        for j in range(b):
+            inside = rng.sample(range(a), a)
+            for i in range(a):
+                images[relabel[a * j + i]] = relabel[a * blocks[j] + inside[i]]
+        gens.append(Perm(images))
+    if seed % 3 == 0:
+        gens.append(Perm(rng.sample(range(n), n)))
+    G = PermGroup(n, gens)
+    return G if G.is_transitive() else None
+
+
+def assert_blocks_match_union_find(G):
+    for alpha in range(G.degree):
+        for beta in range(G.degree):
+            if alpha != beta:
+                expected = block_by_union_find(G, alpha, beta)
+                assert minimal_block_with(G, alpha, beta) == expected, (alpha, beta)
+
+
+@pytest.mark.parametrize("start", range(0, 240, 60))
+def test_minimal_block_matches_union_find_on_random_transitive_groups(start):
+    seen = set()
+    for seed in range(start, start + 60):
+        G = random_transitive_group(seed)
+        if G is not None:
+            assert_blocks_match_union_find(G)
+            seen.add("primitive" if is_primitive(G) else "imprimitive")
+            if G.chain().base[0] != 0:
+                seen.add("base off 0")
+    assert seen == {"primitive", "imprimitive", "base off 0"}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: table1_group(1), id="table1_group(1)"),
+        pytest.param(lambda: agl1(9), id="agl1(9)"),
+    ],
+)
+def test_minimal_block_matches_union_find_on_known_groups(make):
+    assert_blocks_match_union_find(make())
+
+
+def test_minimal_block_with_a_chain_based_off_zero():
+    G = PermGroup(3, (Perm.from_cycles(3, [(1, 2)]), Perm.from_cycles(3, [(0, 1, 2)])))
+    assert G.chain().base == (1, 0)
+    assert_blocks_match_union_find(G)
