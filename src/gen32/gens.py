@@ -32,6 +32,27 @@ of <P, x> by whole orbits of P (``PermGroup.orbit_with``).  A
 candidate that passes both is accepted when its Schreier-Sims order is
 |G|, and the returned witness is checked once more by ``generates``.
 
+A last-slot candidate x that fails the orbit filter, or passes both
+filters without generating, shows that K = <P, x> is a proper subgroup,
+and no later candidate x' in K can complete the prefix, as <P, x'> <= K:
+the scan prunes by the subgroups it has found (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, 4.6).  While P's keys are
+tracked (not at the first slot, whose values are class representatives,
+nor past the limit), a K with at most ``PREFIX_SET_LIMIT`` elements is
+closed on keys and they are marked, so a marked candidate is rejected
+before a permutation is built for it: after an orbit-filter failure the
+closure stops at the limit, and after a failed order computation K is
+closed only when its order fits.  A K over the limit, which an order
+computation has found, is kept with its chain instead; each candidate
+that passes the orbit filter is tested for membership in the kept
+subgroups before its order is computed, and a kept subgroup that a newer
+one contains is dropped.  Only candidates that cannot generate are
+skipped, so the first witness does not move.  A skipped candidate still
+counts as a test, as one the filters reject does, so budgets, truncation
+points and budget messages are those of the scan without the skip.
+Middle slots do not skip this way, as a skipped middle value would take
+its last-slot candidates out of that count.
+
 Every l-rank is computed one way: an abelian X/Y has l-rank r exactly when
 |X : Y X^l| = l^r, and Y X^l is generated by Y and the l-th powers of
 X's generators.  The abelianization bound reads that index off chain
@@ -224,8 +245,9 @@ class _Search:
     first slot runs over the class representatives and every later slot
     over all elements.  It must only be called once sizes < k are known
     to be witness-free (the skip rule relies on it).  ``tests`` counts
-    final candidates attempted and persists across levels; when it
-    reaches the limit the scan aborts with ``truncated`` set.
+    final candidates attempted, those that lie in a subgroup the last
+    slot has shown not to generate included, and persists across levels;
+    when it reaches the limit the scan aborts with ``truncated`` set.
     """
 
     def __init__(self, G: PermGroup):
@@ -266,7 +288,13 @@ class _Search:
         """The first witness that extends the prefix by ``remaining`` more
         elements, skipping those already in the subgroup ``sub`` it
         generates (None: not tracked).  The first slot runs over the
-        class representatives, every later one over all elements."""
+        class representatives, every later one over all elements.
+
+        The last slot also skips, after counting it as a test, a candidate
+        in a proper subgroup <P, x> that an earlier candidate x of this
+        scan gave: marked by its keys when ``sub`` is tracked and <P, x>
+        fits ``PREFIX_SET_LIMIT``, else, when an order computation found
+        <P, x> over the limit, tested against its chain."""
         keyed = self._keyed
         keys = keyed.keys
         ab = self._ab
@@ -279,22 +307,42 @@ class _Search:
         if remaining == 1:
             good = ab.good_last(span) if span is not None else None
             perms = tuple(keyed.perm(i) for i in prefix)
+            # per key: False in the prefix subgroup, True in a proper
+            # subgroup <P, x> found by this scan; one lookup decides both
+            failed = dict.fromkeys(sub, False) if sub is not None else {}
+            kept: list[PermGroup] = []  # the proper <P, x> over the cap
             P = None  # the prefix group, built for the first candidate tested
             for i in slots:
                 key = keys[i]
-                if sub is not None and key in sub:
+                dead = failed.get(key)
+                if dead is False:
                     continue
                 if limit is not None and self.tests >= limit:
                     self.truncated = True
                     return None
                 self.tests += 1
-                if good is not None and ab.phi[key] not in good:
+                if dead or (good is not None and ab.phi[key] not in good):
                     continue
                 x = keyed.perm(i)
                 if P is None:
                     P = self.G.subgroup(perms)
-                if self._joins_orbits(P, x) and self.G.subgroup(perms + (x,)).order() == self.n:
-                    return perms + (x,)
+                cand = perms + (x,)
+                if not self._joins_orbits(P, x):
+                    if sub is not None:
+                        _mark(failed, keyed.closure(cand, PREFIX_SET_LIMIT))
+                    continue
+                if any(x in K for K in kept):
+                    continue
+                K = self.G.subgroup(cand)
+                order = K.order()
+                if order == self.n:
+                    return cand
+                if order > PREFIX_SET_LIMIT:
+                    # H = <P, y> lies in K exactly when y does
+                    kept = [H for H in kept if H.generators[-1] not in K]
+                    kept.append(K)
+                elif sub is not None:
+                    _mark(failed, keyed.closure(cand))
             return None
         for i in slots:
             if sub is not None and keys[i] in sub:
@@ -307,6 +355,14 @@ class _Search:
             if self.truncated:
                 return None
         return None
+
+
+def _mark(failed: dict[tuple[int, ...], bool], closure: set[tuple[int, ...]] | None) -> None:
+    """Mark the keys of a closure (None: over the cap, so nothing) as in a
+    subgroup that does not generate, leaving the prefix subgroup's as they
+    are."""
+    if closure is not None:
+        failed.update(dict.fromkeys(closure.difference(failed), True))
 
 
 def _lift(
@@ -332,6 +388,12 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     budget-capped upper search that must meet the certified lower bound
     (method 'bound-meet'); anything else raises IndeterminateError.
     Requires |G| within the enumeration cap of ``PermGroup.keyed``.
+
+    A last-slot candidate that passes the orbit and abelianization
+    filters is accepted when its Schreier-Sims order is |G|; one that
+    lies in a proper subgroup an earlier candidate of the same scan gave
+    is skipped, and counted against the budget like any other test (see
+    the module docstring).
 
     The search runs on G's action on the orbits of its base points
     (``PermGroup.on_base_orbits``), which numbers the elements as G does

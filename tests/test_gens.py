@@ -5,12 +5,15 @@ from math import lcm
 import pytest
 
 from field_reference import decode_vector, encode_vector
+from search_reference import ReferenceSearch
 from gen32.constructions import (
+    affine_of_linear_perms,
     agl1,
     s0_group,
     sl2,
     table1_group,
     table1_matrix_group,
+    table2_matrix_group,
     translation_perms,
     translations,
     z_group,
@@ -29,13 +32,14 @@ from gen32.gens import (
 )
 from gen32.matgroup import MatrixGroup
 from gen32.field import field_make
-from gen32 import permgroup
+from gen32 import gens, permgroup
 from gen32.permgroup import (
     Perm,
     PermGroup,
     coset_action,
     derived_subgroup,
     normal_closure,
+    subgroups_up_to_conjugacy,
     symmetric_group,
 )
 from gen32.verify import _negative_corpus, _positive_corpus
@@ -489,6 +493,103 @@ def test_d_matches_naive_oracle_on_random_groups(seed):
         res = d_exact(G)
         assert res.value == d_naive(G), s
         assert generates(G, res.witness.elements)
+
+
+def corollary3_case2_overgroup(j):
+    """V . T_0 on 81 points for the j-th class that ``verify_corollary3(2)``
+    enumerates, the group of claim ``corollary3.case2.T{j:02d}``."""
+    G0m, M0m = table1_matrix_group(2), table2_matrix_group(2)
+    G0 = G0m.perm_group("nonzero")
+    ca = coset_action(M0m.perm_group("nonzero"), G0)
+    Tbar = subgroups_up_to_conjugacy(ca.group)[j].representative
+    lifts = tuple(ca.reps[g.images[0]] for g in Tbar.generators)
+    return affine_of_linear_perms(G0m.field, G0m.dim, G0.generators + lifts)
+
+
+def search_trace(search_cls, G, budget):
+    """d_exact's outcome when it searches with ``search_cls``, and each
+    level's (k, witness, tests, truncated)."""
+    levels = []
+
+    class Recording(search_cls):
+        def run_level(self, k, limit):
+            got = super().run_level(k, limit)
+            levels.append((k, got and [g.images for g in got], self.tests, self.truncated))
+            return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gens, "_Search", Recording)
+        outcome = d_outcome(G, budget)
+    return outcome, levels
+
+
+@pytest.mark.parametrize("cap", [gens.PREFIX_SET_LIMIT, 8])
+@pytest.mark.parametrize("seed", range(0, 210, 70))
+def test_last_slot_pruning_matches_the_unpruned_scan_on_random_groups(monkeypatch, seed, cap):
+    # with the cap at 8 most failed subgroups are kept, not marked
+    monkeypatch.setattr(gens, "PREFIX_SET_LIMIT", cap)
+    marked = []
+    mark = gens._mark
+    monkeypatch.setattr(gens, "_mark", lambda failed, keys: marked.append(keys) or mark(failed, keys))
+    groups = [G for G in map(random_small_group, range(seed, seed + 70)) if G.order() <= 720]
+    for G in groups:
+        for budget in (3, 10, 50, DEFAULT_BUDGET):
+            got = search_trace(gens._Search, G, budget)
+            assert got == search_trace(ReferenceSearch, G, budget), (G.generators, budget)
+    assert any(keys is not None for keys in marked)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: table2_matrix_group(2).perm_group("nonzero"), lambda: corollary3_case2_overgroup(3)],
+    ids=["table2 G0", "corollary3 case2 T03"],
+)
+def test_last_slot_pruning_matches_the_unpruned_scan_on_the_papers_groups(make):
+    for budget in (2000, DEFAULT_BUDGET):
+        assert search_trace(gens._Search, make(), budget) == search_trace(ReferenceSearch, make(), budget)
+
+
+def test_table2_stabilizer_search_tests_few_orbits(monkeypatch):
+    # the unpruned scan tests 1,945 candidates against the orbit filter,
+    # and all of them fail
+    G = table2_matrix_group(2).perm_group("nonzero")
+    calls = []
+    orbit_with = PermGroup.orbit_with
+    monkeypatch.setattr(
+        PermGroup, "orbit_with", lambda P, g, alpha: calls.append(alpha) or orbit_with(P, g, alpha)
+    )
+    assert d_exact(G).value == 2
+    assert len(calls) <= 150
+
+
+def test_corollary3_overgroup_search_builds_few_chains(monkeypatch):
+    # T10, of order 15,552: the unpruned scan builds 3,463 chains, one per
+    # candidate that passes both filters
+    G = corollary3_case2_overgroup(10)
+    assert G.order() == 15552
+    builds = []
+    build_chain = permgroup.build_chain
+    monkeypatch.setattr(permgroup, "build_chain", lambda *args: builds.append(args) or build_chain(*args))
+    assert d_exact(G).value == 2
+    assert len(builds) <= 20
+
+
+def test_subgroups_over_the_cap_are_kept_and_skip_candidates(monkeypatch):
+    want = d_exact(corollary3_case2_overgroup(3)).witness.elements
+    monkeypatch.setattr(gens, "PREFIX_SET_LIMIT", 64)
+    found = []
+    contains = PermGroup.__contains__
+
+    def recording(K, g):
+        got = contains(K, g)
+        found.append(got and K.order())
+        return got
+
+    monkeypatch.setattr(PermGroup, "__contains__", recording)
+    G = corollary3_case2_overgroup(3)
+    assert d_exact(G).witness.elements == want
+    # a candidate skipped as a member of a kept proper subgroup
+    assert any(64 < order < G.order() for order in found)
 
 
 def orbit_count_by_union_find(degree, perms):
