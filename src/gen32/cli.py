@@ -39,7 +39,7 @@ from .errors import IndeterminateError, PreconditionError
 from .gens import DEFAULT_BUDGET, DResult, d_affine, d_exact
 from .permgroup import PermGroup, group_from_text, group_to_text, perm_to_text
 from .transitivity import analyze
-from .verify import ClaimVerdict, SUITE_NAMES, SUITE_PARTS, run_suite
+from .verify import ClaimVerdict, SUITE_NAMES, run_suite
 
 SCHEMA = "gen32/1"
 
@@ -235,26 +235,11 @@ def _parse_q_list(texts: Sequence[str]) -> tuple[int, ...]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.jobs > 1 and args.suite != "all":
-        raise UsageError(f"--jobs {args.jobs} needs --suite all, which runs its suites in parallel")
     if args.q and args.suite not in ("lemma7", "all"):
         raise UsageError(f"--q applies to --suite lemma7 or all, not {args.suite}")
     q_list = _parse_q_list(args.q) if args.q else None
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        # imported here: the process pool's modules cost every other
-        # gen32 process about 20 ms to load
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_suite, part, q_list) for part in SUITE_PARTS]
-            verdicts = sorted(
-                (v for fut in futures for v in fut.result()), key=lambda v: v.claim_id
-            )
-    else:
-        verdicts = run_suite(args.suite, q_list)
+    verdicts = run_suite(args.suite, q_list)
     total_ms = int((time.perf_counter() - t0) * 1000)
 
     payload = {
@@ -326,9 +311,6 @@ def _parser() -> argparse.ArgumentParser:
     reproduce = subs.add_parser("reproduce", help="run a claim suite and report verdicts")
     reproduce.add_argument("--suite", required=True, choices=SUITE_NAMES)
     reproduce.add_argument("--q", action="append", help="lemma7 qs, comma-separated; repeatable")
-    reproduce.add_argument(
-        "--jobs", type=int, default=1, help="parallel suite workers; above 1 needs --suite all"
-    )
     reproduce.add_argument("--out", help="write the JSON report to this file")
     reproduce.set_defaults(func=cmd_reproduce)
 

@@ -44,12 +44,12 @@ before a permutation is built for it: after an orbit-filter failure the
 closure stops at the limit, and after a failed order computation K is
 closed only when its order fits.  A K over the limit, which an order
 computation has found, is kept with its chain instead; each candidate
-that passes the orbit filter is tested for membership in the kept
-subgroups before its order is computed, and a kept subgroup that a newer
-one contains is dropped.  Only candidates that cannot generate are
-skipped, so the first witness does not move.  A skipped candidate still
-counts as a test, as one the filters reject does, so budgets, truncation
-points and budget messages are those of the scan without the skip.
+is tested for membership in the kept subgroups before the orbit filter
+runs, and a kept subgroup that a newer one contains is dropped.  Only
+candidates that cannot generate are skipped, so the first witness does
+not move.  A skipped candidate still counts as a test, as one the
+filters reject does, so budgets, truncation points and budget messages
+are those of the scan without the skip.
 Middle slots do not skip this way, as a skipped middle value would take
 its last-slot candidates out of that count.
 
@@ -326,12 +326,12 @@ class _Search:
                 x = keyed.perm(i)
                 if P is None:
                     P = self.G.subgroup(perms)
+                if any(x in K for K in kept):
+                    continue
                 cand = perms + (x,)
                 if not self._joins_orbits(P, x):
                     if sub is not None:
                         _mark(failed, keyed.closure(cand, PREFIX_SET_LIMIT))
-                    continue
-                if any(x in K for K in kept):
                     continue
                 K = self.G.subgroup(cand)
                 order = K.order()

@@ -585,11 +585,19 @@ def test_subgroups_over_the_cap_are_kept_and_skip_candidates(monkeypatch):
         found.append(got and K.order())
         return got
 
+    calls = []
+    orbit_with = PermGroup.orbit_with
     monkeypatch.setattr(PermGroup, "__contains__", recording)
+    monkeypatch.setattr(
+        PermGroup, "orbit_with", lambda P, g, alpha: calls.append(alpha) or orbit_with(P, g, alpha)
+    )
     G = corollary3_case2_overgroup(3)
     assert d_exact(G).witness.elements == want
     # a candidate skipped as a member of a kept proper subgroup
     assert any(64 < order < G.order() for order in found)
+    # the kept subgroups are asked first: orbit-testing every candidate
+    # they then skip makes 2,400 calls
+    assert len(calls) <= 200
 
 
 def orbit_count_by_union_find(degree, perms):

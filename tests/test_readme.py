@@ -40,7 +40,7 @@ def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     outputs = {}
     lines = _cli_lines()
-    assert len(lines) == 16
+    assert len(lines) == 15
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         code = main(argv)
