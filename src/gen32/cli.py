@@ -100,7 +100,7 @@ def _build(args: argparse.Namespace) -> tuple[str, PermGroup, Callable[[int], DR
         else:
             name, stab = f"table2(i={args.i})", table2_matrix_group(args.i)
         group = affine_group(stab)
-        return name, group, partial(d_affine, stab, group=group)
+        return name, group, partial(d_affine, group)
     if kind == "zgroup":
         group = z_group(args.m, args.n, args.r)
         return f"zgroup(m={args.m},n={args.n},r={args.r})", group, partial(d_exact, group)

@@ -15,7 +15,8 @@ Everything the CLI and the claim suites can build lives here:
   linear part is the whole stabilizer of 0, so the stabilizer chain is
   assembled, when first needed, from a level for the orbit of 0 on top
   of a Schreier-Sims chain of the linear generators alone, instead of a
-  Schreier-Sims run over V . G0.
+  Schreier-Sims run over V . G0.  Its ``field``, ``dim`` and ``linear``
+  are all that ``is_irreducible`` and ``gens.d_affine`` read.
 * ``table1_group(i)`` / ``table2_group(i)`` — affine groups over
   stabilizer matrix groups loaded from the bundled ``data/*.mat`` files
   (four exceptional 3/2-transitive groups and the two larger monomial
@@ -42,8 +43,9 @@ from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .field import POINT_LIMIT, FieldSpec, add_codes, field_make, prime_power
-from .matgroup import MatrixF, MatrixGroup, matrix_group_from_text
-from .permgroup import Perm, PermGroup, StabChain, build_chain, chain_from_stabilizer
+# is_irreducible is here for gens, which takes affine groups from this module
+from .matgroup import MatrixF, MatrixGroup, is_irreducible, matrix_group_from_text
+from .permgroup import Perm, PermGroup, StabChain, chain_from_stabilizer
 
 DATA_ENV = "GEN32_DATA_DIR"
 
@@ -145,6 +147,10 @@ class _AffineGroup(PermGroup):
     """The affine group G = V . H on the q^dim vector codes, for a group
     H of additive permutations fixing the zero vector.
 
+    V is GF(q)^dim for ``field`` and ``dim``, and ``linear`` is H on all
+    q^dim codes, with the GF(p)-basis codes p^k as a known base: an
+    additive permutation fixing them fixes every code.
+
     Its generators are the dim GF(q)-basis translations (codes q^i), then
     H's generators, then the translation by each GF(p)-basis code p^k
     that the orbit of 0 under the generators before it does not reach.
@@ -159,13 +165,11 @@ class _AffineGroup(PermGroup):
     t_v * h with t_v a translation and h in H; it fixes the zero vector
     only when v = 0, so the stabilizer G_0 is exactly H.  The stabilizer
     chain is therefore assembled, on first use, from a level for the
-    orbit of 0 (all of V, so |G| = q^dim * |H|) on top of a chain of H
-    alone (``chain_from_stabilizer``), with no Schreier-Sims run over G.
-    An additive permutation fixing the F_p-basis codes p^k fixes every
-    code, so they are a known base of H.
+    orbit of 0 (all of V, so |G| = q^dim * |H|) on top of H's chain
+    (``chain_from_stabilizer``), with no Schreier-Sims run over G.
     """
 
-    __slots__ = ("_linear", "_linear_base")
+    __slots__ = ("field", "dim", "linear")
 
     def __init__(self, field: FieldSpec, dim: int, linear: tuple[Perm, ...]):
         total = field.q**dim
@@ -176,13 +180,13 @@ class _AffineGroup(PermGroup):
             if k % field.m and field.p**k not in PermGroup(total, gens).orbit(0):
                 gens.append(_basis_translation(field, dim, field.p**k))
         super().__init__(total, gens)
-        self._linear = linear
-        self._linear_base = tuple(field.p**k for k in range(field.m * dim))
+        self.field = field
+        self.dim = dim
+        self.linear = PermGroup._with_base(total, linear, [field.p**k for k in range(field.m * dim)])
 
     def chain(self) -> StabChain:
         if self._chain is None:
-            stabilizer = build_chain(self.degree, self._linear, (), self._linear_base)
-            self._chain = chain_from_stabilizer(self.degree, self.generators, 0, stabilizer)
+            self._chain = chain_from_stabilizer(self.degree, self.generators, 0, self.linear.chain())
         return self._chain
 
 

@@ -77,11 +77,12 @@ bound-meet mode: a budget-capped search for an upper bound plus the
 abelianization lower bound; the two must meet, else the result is
 indeterminate (an error, never a guess).
 
-``d_affine`` computes d(V . G0) for G0 irreducible over GF(q) without
-searching the affine group: it lifts a minimal G0 witness through the
-translations, one slot and then two at a time (two only when V is
-reducible over GF(p)), and verifies generation directly.  When no lift
-generates, it searches V . G0 itself with ``d_exact``, if V . G0 is
+``d_affine`` computes d(A) for an affine group A = V . L from
+``constructions``, L irreducible over GF(q), without searching A: it
+lifts a minimal witness of L (``A.linear``, on whose chain A's stands)
+through the translations, one slot and then two at a time (two only
+when V is reducible over GF(p)), and verifies generation directly.
+When no lift generates, it searches A itself with ``d_exact``, if A is
 within the enumeration cap.
 """
 
@@ -90,10 +91,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
-from .constructions import affine_group, extend_fixing_zero, translations
+from .constructions import is_irreducible, translations
 from .errors import IndeterminateError, PreconditionError
 from .field import is_prime, prime_factors
-from .matgroup import MatrixGroup, is_irreducible
 from .permgroup import ELEMENT_LIMIT, Perm, PermGroup, coset_action, derived_subgroup
 
 DEFAULT_BUDGET = 10**8
@@ -441,49 +441,43 @@ def d_exact(G: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
     )
 
 
-def d_affine(
-    G0: MatrixGroup, budget: int = DEFAULT_BUDGET, group: PermGroup | None = None
-) -> DResult:
-    """d of V . G0 for a nontrivial G0 irreducible over GF(q), without
-    searching the affine group itself.  ``group`` is V . G0 as
-    ``affine_group(G0)`` builds it, for a caller that has built it
-    already; else it is built here.
+def d_affine(A: PermGroup, budget: int = DEFAULT_BUDGET) -> DResult:
+    """d of an affine group A = V . L, as ``affine_group`` or
+    ``affine_of_linear_perms`` builds it, for a nontrivial linear part L
+    irreducible over GF(q), without searching A itself.
 
-    A minimal G0 witness, padded with identities to max(2, d(G0)) slots,
-    has one slot and then two multiplied by translations until an order
-    computation shows that it generates; that value is then exact, with
-    method 'shortcut-LM'.  One slot suffices when V is irreducible over
-    GF(p): the lifts that fail are the witness's cocycles, a subspace of
-    V^m, and one holding every one-slot lift would be all of V^m, which
-    Gaschutz's lemma rules out.  Two slots are needed only when V is
-    irreducible over GF(q) but not over GF(p), as for S_0(3) in GL(2, 9).
-    For <-1> in GL(1, 9) no lift generates, as d = 3 there: when no lift
-    generates, d is searched on V . G0 itself (``d_exact``, with the same
-    budget) if its order is within the enumeration cap, and otherwise
-    IndeterminateError is raised, as it is when the lifts exhaust the
-    budget.
+    A minimal witness for L (``A.linear``), padded with identities to
+    max(2, d(L)) slots, has one slot and then two multiplied by
+    translations until an order computation shows that it generates;
+    that value is then exact, with method 'shortcut-LM'.  One slot
+    suffices when V is irreducible over GF(p): the lifts that fail are
+    the witness's cocycles, a subspace of V^m, and one holding every
+    one-slot lift would be all of V^m, which Gaschutz's lemma rules out.
+    Two slots are needed only when V is irreducible over GF(q) but not
+    over GF(p), as for S_0(3) in GL(2, 9).  For <-1> in GL(1, 9) no lift
+    generates, as d = 3 there: when no lift generates, d is searched on
+    A itself (``d_exact``, with the same budget) if its order is within
+    the enumeration cap, and otherwise IndeterminateError is raised, as
+    it is when the lifts exhaust the budget.
     """
-    if not is_irreducible(G0):
+    if not is_irreducible(A):
         raise PreconditionError("d_affine needs an irreducible stabilizer")
-    nz = G0.perm_group("nonzero")
-    if nz.order() == 1:
+    if A.linear.order() == 1:
         raise PreconditionError("d_affine needs a nontrivial stabilizer")
-    inner = d_exact(nz, budget)
+    inner = d_exact(A.linear, budget)
     value = max(2, inner.value)
-    A = affine_group(G0) if group is None else group
-    total = G0.field.q**G0.dim
-    identity = Perm.identity(total)
-    base = [extend_fixing_zero(g) for g in inner.witness.elements]
+    identity = A.identity()
+    base = list(inner.witness.elements)
     base += [identity] * (value - len(base))
     shifts = [identity]  # shifts[u] is the translation by code u, built on first use
     attempts = 0
     for r in (1, 2):
         for slots in combinations(range(value), r):
-            for codes in product(range(1, total), repeat=r):
+            for codes in product(range(1, A.degree), repeat=r):
                 attempts += 1
                 if attempts > budget:
                     raise IndeterminateError("translation-lift budget exhausted")
-                shifts += translations(G0.field, G0.dim, range(len(shifts), max(codes) + 1))
+                shifts += translations(A.field, A.dim, range(len(shifts), max(codes) + 1))
                 cand = list(base)
                 for j, u in zip(slots, codes):
                     cand[j] = cand[j] * shifts[u]

@@ -12,9 +12,9 @@ settled on the faithful permutation image on nonzero vectors.
 
 A matrix holds the integer codes of its entries, is built from codes
 (``MatrixF.from_codes``), and every computation here (products, the
-determinant's code, the point images of ``perm_from_matrix``, the spins
-of ``is_irreducible``) runs on codes through the field's
-``FieldSpec.ops``.
+determinant's code, the point images of ``perm_from_matrix``, the
+echelon reduction of ``is_irreducible``) runs on codes through the
+field's ``FieldSpec.ops``.
 
 The text format for matrix-group files is::
 
@@ -29,7 +29,6 @@ with one generator matrix per blank-line-separated block.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -204,42 +203,44 @@ class MatrixGroup:
         return f"MatrixGroup({self.field!r}, dim={self.dim}, {len(self.generators)} gens)"
 
 
-def is_irreducible(G: MatrixGroup) -> bool:
-    """Whether the natural module has no proper nonzero invariant
-    subspace.
+def is_irreducible(A: PermGroup) -> bool:
+    """Whether the linear part of an affine group A = V . L, as
+    ``affine_group`` or ``affine_of_linear_perms`` builds it, leaves no
+    proper nonzero subspace of V = GF(q)^dim invariant.
 
-    Spins one vector of every one-dimensional subspace (the one whose
-    first nonzero coordinate is 1) under the generators, reducing against
-    a growing echelon basis; reducibility is witnessed by a spin that
-    stalls below full dimension.
+    Spins the code of one vector of every one-dimensional subspace (the
+    one whose first nonzero coordinate is 1) under ``A.linear``'s
+    permutations, one lookup per image, reducing each image's coordinates
+    against a growing echelon basis; reducibility is witnessed by a spin
+    that stalls below full dimension.
     """
-    f, n = G.field, G.dim
+    linear = getattr(A, "linear", None)
+    if not isinstance(linear, PermGroup):
+        raise PreconditionError("is_irreducible needs an affine group")
+    q, n = A.field.q, A.dim
     if n == 1:
         return True
-    ops = f.ops
-    mats = [M.codes() for M in G.generators]
+    images = [g.images for g in linear.generators]
     for lead in range(n):
-        for tail in product(range(f.q), repeat=n - 1 - lead):
-            if not _spin_fills_space((0,) * lead + (1,) + tail, mats, ops):
+        for tail in range(q ** (n - 1 - lead)):
+            if not _spin_fills_space(q**lead * (1 + q * tail), images, A.field, n):
                 return False
     return True
 
 
-def _spin_fills_space(
-    v: Sequence[int], mats: Sequence[Sequence[Sequence[int]]], ops: CodeOps
-) -> bool:
-    """Whether the images of the code vector v under products of the
-    matrices span the whole space."""
-    n = len(v)
+def _spin_fills_space(v: int, images: Sequence[Sequence[int]], field: FieldSpec, n: int) -> bool:
+    """Whether the images of the vector of code v under products of the
+    permutations, given by their images, span the whole space."""
+    q, ops = field.q, field.ops
     basis: list[tuple[int, list[int]]] = []
-    _echelon_add(basis, v, ops)
+    _echelon_add(basis, [v // q**i % q for i in range(n)], ops)
     queue = [v]
     for w in queue:
         if len(basis) == n:
             break
-        for rows in mats:
-            u = _row_times(w, rows, ops)
-            if _echelon_add(basis, u, ops):
+        for g in images:
+            u = g[w]
+            if _echelon_add(basis, [u // q**i % q for i in range(n)], ops):
                 queue.append(u)
     return len(basis) == n
 

@@ -909,20 +909,11 @@ class PermGroup:
         once (``orbits``): it is grown from alpha's by whole orbits, each
         round mapping the points of the orbits it added by g in one pass
         and adding the orbits their images lie in.  For a trivial group
-        it is alpha's cycle under g, walked point by point.
+        every orbit is one point, so this walks alpha's cycle under g.
         """
         if not 0 <= alpha < self.degree or g.degree != self.degree:
             raise PreconditionError(f"point {alpha} or element degree {g.degree} out of range")
         orbits = self.orbits()
-        if len(orbits) == self.degree:
-            # this group is trivial, so the orbit is alpha's cycle under g
-            images = g.images
-            points = [alpha]
-            x = images[alpha]
-            while x != alpha:
-                points.append(x)
-                x = images[x]
-            return points
         label = self._orbit_of
         # into[x]: the orbit that g maps x into
         into = _take(label, g.images)

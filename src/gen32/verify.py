@@ -107,13 +107,12 @@ def verify_table1() -> list[ClaimVerdict]:
     out: list[ClaimVerdict] = []
     for i in (1, 2, 3, 4):
         exp = TABLE1_EXPECTED[i]
-        G0 = table1_matrix_group(i)
-        G = affine_group(G0)
+        G = affine_group(table1_matrix_group(i))
         cid = f"table1.G{i}"
         out.append(_claim(f"{cid}.n", exp["n"], lambda G=G: G.degree))
-        out.append(_claim(f"{cid}.order0", exp["order0"], lambda G0=G0: G0.order()))
+        out.append(_claim(f"{cid}.order0", exp["order0"], lambda G=G: G.linear.order()))
         out.append(_claim(f"{cid}.rk", exp["rk"], lambda G=G: rank(G)))
-        out.append(_claim(f"{cid}.d", exp["d"], lambda G0=G0, G=G: d_affine(G0, group=G).value))
+        out.append(_claim(f"{cid}.d", exp["d"], lambda G=G: d_affine(G).value))
         out.append(_claim(f"{cid}.primitive", True, lambda G=G: is_primitive(G)))
         out.append(
             _claim(f"{cid}.threehalves", True, lambda G=G: is_three_halves_transitive(G))

@@ -15,6 +15,7 @@ import pytest
 from field_reference import apply_vector
 from gen32.cli import main as cli_main
 from gen32.constructions import (
+    affine_group,
     agl1,
     s0_group,
     sl2,
@@ -108,7 +109,7 @@ def test_criterion_02_monomial_dichotomy(reproduce_all):
 
 def test_criterion_03_shortcut_agrees_with_direct_search():
     direct = d_exact(table1_group(1))
-    shortcut = d_affine(table1_matrix_group(1))
+    shortcut = d_affine(table1_group(1))
     ok = direct.value == 3 == shortcut.value and direct.method == "exhaustive"
     _criterion(3, ok, "exhaustive d on the degree-25 order-400 group equals the shortcut value 3")
 
@@ -145,7 +146,7 @@ def test_criterion_06_two_transitive_corpus_is_2_generated():
     ok = True
     for i in (1, 2):
         ok &= rank(table2_group(i)) == 2
-        ok &= d_affine(table2_matrix_group(i)).value == 2
+        ok &= d_affine(table2_group(i)).value == 2
     for q in (4, 5, 7, 8, 9, 11):
         G = agl1(q)
         ok &= rank(G) == 2
@@ -317,7 +318,7 @@ def test_criterion_09_oracle_equivalence_suites():
             s0_group(q),
         ]
         for G in corpus:
-            ok_c &= is_irreducible(G) == (not _reducible_by_line_scan(G))
+            ok_c &= is_irreducible(affine_group(G)) == (not _reducible_by_line_scan(G))
 
     ok = ok_a and ok_b and ok_c
     _criterion(

@@ -218,7 +218,7 @@ def test_analyze_cyclic_4(capsys):
 
 
 def test_analyze_builds_the_affine_group_once(capsys, monkeypatch):
-    from gen32 import cli, constructions, gens
+    from gen32 import cli, constructions
 
     calls = []
     real = constructions.affine_group
@@ -228,7 +228,7 @@ def test_analyze_builds_the_affine_group_once(capsys, monkeypatch):
         return real(G0)
 
     # rebound wherever it was imported by name
-    for module in (cli, constructions, gens):
+    for module in (cli, constructions):
         monkeypatch.setattr(module, "affine_group", counting)
     code, out, _ = run_cli(capsys, "analyze", "table1", "--i", "1")
     assert code == 0 and json.loads(out)["d"]["value"] == 3
@@ -236,7 +236,7 @@ def test_analyze_builds_the_affine_group_once(capsys, monkeypatch):
 
 
 def test_reproduce_builds_each_table1_affine_group_once(capsys, monkeypatch):
-    from gen32 import cli, constructions, gens, verify
+    from gen32 import cli, constructions, verify
 
     calls = []
     real = constructions.affine_group
@@ -246,7 +246,7 @@ def test_reproduce_builds_each_table1_affine_group_once(capsys, monkeypatch):
         return real(G0)
 
     # rebound wherever it was imported by name
-    for module in (cli, constructions, gens, verify):
+    for module in (cli, constructions, verify):
         monkeypatch.setattr(module, "affine_group", counting)
     code, out, _ = run_cli(capsys, "reproduce", "--suite", "table1")
     assert code == 0 and json.loads(out)["all_pass"] is True

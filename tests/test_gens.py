@@ -7,12 +7,14 @@ import pytest
 from field_reference import decode_vector, encode_vector
 from search_reference import ReferenceSearch
 from gen32.constructions import (
+    affine_group,
     affine_of_linear_perms,
     agl1,
     s0_group,
     sl2,
     table1_group,
     table1_matrix_group,
+    table2_group,
     table2_matrix_group,
     translation_perms,
     translations,
@@ -463,7 +465,7 @@ def test_d_search_leaves_no_cyclic_garbage():
         results = [
             d_exact(s0_group(9).perm_group("all")),
             d_exact(agl1(13)),
-            d_affine(table1_matrix_group(1)),
+            d_affine(table1_group(1)),
         ]
         with pytest.raises(IndeterminateError):
             d_exact(agl1(16), 7)
@@ -992,7 +994,7 @@ def test_s0_13_triple_cross_check():
 
 def test_d_affine_matches_direct_search_on_row1():
     direct = d_exact(table1_group(1))
-    short = d_affine(table1_matrix_group(1))
+    short = d_affine(table1_group(1))
     assert direct.value == short.value == 3
     assert direct.method == "exhaustive"
     assert short.method == "shortcut-LM"
@@ -1001,19 +1003,15 @@ def test_d_affine_matches_direct_search_on_row1():
 
 
 def test_d_affine_matches_direct_search_on_s0_5():
-    stab = s0_group(5)
-    from gen32.constructions import affine_group
-
-    aff = affine_group(stab)
-    assert d_affine(stab).value == d_exact(aff).value == 3
-    assert generates(aff, d_affine(stab).witness.elements)
+    aff = affine_group(s0_group(5))
+    res = d_affine(aff)
+    assert res.value == d_exact(aff).value == 3
+    assert generates(aff, res.witness.elements)
 
 
 def test_d_affine_agl1_style_group_is_2():
     # the full monomial overgroups: affine images are 2-generated
-    from gen32.constructions import table2_matrix_group, table2_group
-
-    res = d_affine(table2_matrix_group(1))
+    res = d_affine(table2_group(1))
     assert res.value == 2
     assert generates(table2_group(1), res.witness.elements)
 
@@ -1021,16 +1019,62 @@ def test_d_affine_agl1_style_group_is_2():
 def test_d_affine_requires_irreducible():
     f = field_make(5)
     diag = MatrixGroup(f, 2, [MatrixF_from(f, [[2, 0], [0, 1]])])
-    with pytest.raises(PreconditionError):
-        d_affine(diag)
+    with pytest.raises(PreconditionError, match="irreducible"):
+        d_affine(affine_group(diag))
 
 
 def test_d_affine_requires_nontrivial():
     f = field_make(5)
     from gen32.matgroup import MatrixF
 
-    with pytest.raises(PreconditionError):
-        d_affine(MatrixGroup(f, 2, [MatrixF.identity(f, 2)]))
+    with pytest.raises(PreconditionError, match="irreducible"):
+        d_affine(affine_group(MatrixGroup(f, 2, [MatrixF.identity(f, 2)])))
+    # every line is invariant in dimension 1, so only the order rules it out
+    with pytest.raises(PreconditionError, match="nontrivial"):
+        d_affine(affine_group(MatrixGroup(f, 1, [MatrixF.identity(f, 1)])))
+
+
+def test_d_affine_takes_only_an_affine_group():
+    G0 = s0_group(5)
+    plain = PermGroup(25, table1_group(1).generators)
+    for not_affine in (G0, G0.perm_group("all"), plain):
+        with pytest.raises(PreconditionError, match="affine group"):
+            d_affine(not_affine)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: corollary3_case2_overgroup(3), lambda: corollary3_case2_overgroup(10), lambda: table2_group(1)],
+    ids=["case2-T03", "case2-T10", "M1"],
+)
+def test_d_affine_on_a_linear_part_given_by_permutations_matches_d_exact(make):
+    A = make()
+    res = d_affine(A)
+    assert res.value == d_exact(A).value
+    assert res.witness.verified and generates(A, res.witness.elements)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda i=i: table1_group(i) for i in (1, 2, 3, 4)],
+    ids=["G1", "G2", "G3", "G4"],
+)
+def test_d_affine_builds_no_chain_on_the_nonzero_vectors(make, monkeypatch):
+    # the linear part's chain is the one A's chain stands on, and its
+    # search runs on the orbits of its base points, which here are fewer
+    # than the q^dim - 1 nonzero vectors
+    A = make()
+    A.chain()
+    degrees = []
+    real = permgroup.build_chain
+
+    def recording(degree, *args, **kwargs):
+        degrees.append(degree)
+        return real(degree, *args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "build_chain", recording)
+    d_affine(A)
+    assert degrees and A.degree - 1 not in degrees
 
 
 def s0_3_over_gf9():
@@ -1048,35 +1092,29 @@ def minus_one_over_gf9():
 
 
 def test_d_affine_needs_a_two_slot_lift_for_s0_3_over_gf9():
-    from gen32.constructions import affine_group
-
-    stab = s0_3_over_gf9()
-    aff = affine_group(stab)
+    aff = affine_group(s0_3_over_gf9())
     assert aff.order() == 81 * 8
-    res = d_affine(stab)
+    res = d_affine(aff)
     assert res.value == d_exact(aff).value == 2
     assert res.method == "shortcut-LM"
     assert generates(aff, res.witness.elements)
     # all 2 * 80 one-slot lifts fail; the third two-slot lift generates
     with pytest.raises(IndeterminateError, match="translation-lift budget exhausted"):
-        d_affine(stab, 162)
-    assert d_affine(stab, 163) == res
+        d_affine(aff, 162)
+    assert d_affine(aff, 163) == res
 
 
 def test_d_affine_finds_no_lift_for_minus_one_over_gf9():
-    from gen32.constructions import affine_group
-
-    stab = minus_one_over_gf9()
-    aff = affine_group(stab)
+    aff = affine_group(minus_one_over_gf9())
     assert aff.order() == 18
     assert d_exact(aff).value == 3
     # 2 * 8 one-slot and 8 * 8 two-slot lifts, none generating
     with pytest.raises(IndeterminateError, match="translation-lift budget exhausted"):
-        d_affine(stab, 79)
+        d_affine(aff, 79)
     # then d is searched on V . G0 itself, with the same budget
     with pytest.raises(IndeterminateError, match="budget 80 exhausted inside the size-2 scan"):
-        d_affine(stab, 80)
-    res = d_affine(stab)
+        d_affine(aff, 80)
+    res = d_affine(aff)
     assert res == d_exact(aff)
     assert res.value == 3 and res.method == "exhaustive"
     assert res.witness.verified and generates(aff, res.witness.elements)
@@ -1093,10 +1131,10 @@ def test_d_affine_builds_each_translation_once(monkeypatch):
             yield from translations(field, dim, (u,))
 
     monkeypatch.setattr(gen32.gens, "translations", recording)
-    assert d_affine(minus_one_over_gf9()).value == 3
+    assert d_affine(affine_group(minus_one_over_gf9())).value == 3
     assert built == list(range(1, 9))
     built.clear()
-    d_affine(s0_group(5))
+    d_affine(affine_group(s0_group(5)))
     assert built == [1]
 
 

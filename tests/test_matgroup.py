@@ -4,7 +4,7 @@ import random
 import pytest
 
 from field_reference import apply_vector, decode_vector, encode_vector
-from gen32.constructions import table1_matrix_group, table2_matrix_group
+from gen32.constructions import affine_group, table1_matrix_group, table2_matrix_group
 from gen32.errors import PreconditionError
 from gen32.field import FieldSpec, add_codes, field_make, prime_power
 from gen32.matgroup import (
@@ -275,14 +275,14 @@ def test_is_irreducible_matches_line_scan(q):
         MatrixGroup(f, 2, [mat(q, [[0, 1], [1, 0]]), mat(q, [[1, 0], [0, q - 1]])]),
     ]
     for G in corpus:
-        assert is_irreducible(G) == (not reducible_by_line_scan(G))
+        assert is_irreducible(affine_group(G)) == (not reducible_by_line_scan(G))
 
 
 def test_s0_groups_are_irreducible():
     from gen32.constructions import s0_group
 
     for q in (3, 5, 9, 13):
-        assert is_irreducible(s0_group(q))
+        assert is_irreducible(affine_group(s0_group(q)))
         assert not reducible_by_line_scan(s0_group(q))
 
 
@@ -365,7 +365,7 @@ def block_triangular(rng, f, dim, k):
 def test_is_irreducible_matches_orbit_spans_on_bundled_dim4_groups():
     for G in (table1_matrix_group(2), table1_matrix_group(3), table2_matrix_group(2)):
         assert G.dim == 4
-        assert is_irreducible(G) == irreducible_by_orbit_spans(G) is True
+        assert is_irreducible(affine_group(G)) == irreducible_by_orbit_spans(G) is True
 
 
 @pytest.mark.parametrize("q,dim", [(2, 3), (2, 4), (3, 3), (3, 4)])
@@ -377,10 +377,10 @@ def test_is_irreducible_matches_orbit_spans_on_random_groups(q, dim):
         k = rng.randrange(1, dim)
         reducible = MatrixGroup(f, dim, [block_triangular(rng, f, dim, k) for _ in range(2)])
         assert not irreducible_by_orbit_spans(reducible)
-        assert not is_irreducible(reducible)
+        assert not is_irreducible(affine_group(reducible))
         G = MatrixGroup(f, dim, [random_invertible(rng, f, dim) for _ in range(rng.randint(1, 2))])
         verdicts.append(irreducible_by_orbit_spans(G))
-        assert is_irreducible(G) == verdicts[-1]
+        assert is_irreducible(affine_group(G)) == verdicts[-1]
     assert True in verdicts and False in verdicts
 
 
@@ -406,13 +406,13 @@ def test_engine_calls_no_field_element_operator(monkeypatch):
     groups = [s0_group(9), s0_group(49), sl2(13), table1_matrix_group(2), table2_matrix_group(2)]
     groups.append(matrix_group_from_text(matrix_group_text(groups[0])))
     for G in groups:
-        assert is_irreducible(G)
+        assert is_irreducible(affine_group(G))
         for M in G.generators:
             assert M.det() != 0
             assert (M * M).is_invertible()
             for action in ("nonzero", "all"):
                 perm_from_matrix(M, action)
-    assert not is_irreducible(MatrixGroup(gf(3), 2, [mat(3, [[1, 1], [0, 1]])]))
+    assert not is_irreducible(affine_group(MatrixGroup(gf(3), 2, [mat(3, [[1, 1], [0, 1]])])))
     assert agl1(81).order() == 81 * 80
     assert agl1(13).order() == 13 * 12
 

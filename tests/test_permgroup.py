@@ -451,10 +451,11 @@ def test_matrix_group_chains_on_the_basis_vectors_match_reference(make):
 
 def test_affine_linear_chains_on_the_basis_codes_match_reference():
     for G in affine_linear_parts():
+        L = G.linear
         # the codes p^k of the F_p-basis vectors, k < log_p(degree)
-        p, width = G._linear_base[1], len(G._linear_base)
-        assert G._linear_base == tuple(p**k for k in range(width)) and p**width == G.degree
-        assert_known_base_chain_matches_reference(G.degree, G._linear, G._linear_base)
+        p, width = L._base[1], len(L._base)
+        assert L._base == tuple(p**k for k in range(width)) and p**width == G.degree
+        assert_known_base_chain_matches_reference(L.degree, L.generators, L._base)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 127])
@@ -484,7 +485,7 @@ def test_structural_bases_are_bases():
             G = M.perm_group(action)
             assert_is_base(G.degree, G.generators, G._base)
     for G in affine_linear_parts()[:2]:
-        assert_is_base(G.degree, G._linear, G._linear_base)
+        assert_is_base(G.degree, G.linear.generators, G.linear._base)
     for q in (2, 3, 4, 5, 7, 8, 9):
         G = agl1(q)
         assert_is_base(G.degree, G.generators, G._base)
