@@ -42,8 +42,10 @@ chain base.  The chain's verification then decides each Schreier
 generator on B alone, and builds degree-n elements only for a residue
 that becomes a strong generator; a level whose Schreier generators fix a
 chain base that contains B is not checked at all.  With no base known,
-B is every point, and every level builds its whole transversal.  The
-decision is exact either way, so the chain does not depend on B.
+B is every point: each Schreier generator is sifted on the base points
+as above and then compared at full degree, from transversal elements
+built on its level's tree and kept.  The decision is exact either way,
+so the chain does not depend on B.
 Element enumeration, when a task genuinely needs it, is a breadth-first
 closure from the identity with layers sorted lexicographically, and is
 capped at 10^5 elements.
@@ -272,10 +274,10 @@ class _Level:
         self.built: dict[int, tuple[int, ...]] = {}
         self._inverses: list[tuple[int, ...]] | None = None
 
-    def close(self, identity: tuple[int, ...], transversal: bool) -> None:
+    def close(self, identity: tuple[int, ...]) -> None:
         """Rebuild the orbit and its tree by breadth-first closure under
-        the generators; with ``transversal``, build every u_delta too,
-        one gather each."""
+        the generators, and forget every built u_delta but the base
+        point's."""
         parent: dict[int, tuple[int, int] | None] = {self.point: None}
         orbit = [self.point]
         for gamma in orbit:
@@ -285,12 +287,8 @@ class _Level:
                     parent[delta] = (gamma, e)
                     orbit.append(delta)
         self.parent, self.orbit = parent, orbit
-        built = self.built = {self.point: identity}
+        self.built = {self.point: identity}
         self._inverses = None
-        if transversal:
-            for delta in orbit[1:]:
-                gamma, e = parent[delta]
-                built[delta] = _take(self.gens[e].images, built[gamma])
 
     def u(self, delta: int) -> tuple[int, ...]:
         """The image tuple of u_delta: that of delta's nearest built
@@ -315,7 +313,7 @@ class _Level:
         u_gamma^-1, one lookup in a generator's inverse images per edge."""
         images = self.built.get(delta)
         if images is not None:
-            return [images.index(y) for y in points]
+            return [y if images[y] == y else images.index(y) for y in points]
         if not points:
             return points
         if self._inverses is None:
@@ -428,49 +426,39 @@ def _first_residue(
     u_1 .. u_k, h sifts to the identity exactly when
     u_gamma * s == u_k * ... * u_1 * u_delta.
 
-    ``extra`` is None when no base of the group is known: then both
-    sides are compared at every point, on the transversal elements that
-    ``_Level.close`` has built, and u_delta^-1 is read off u_delta by
-    ``index``.  Otherwise it is the part of a known base B outside the
-    chain's base, and no transversal element is built.  u_gamma's images
-    of the later base points and of ``extra`` are gathered once per
-    pass, one gather per orbit point down the tree; s maps them, and
-    u_delta^-1 is walked up the tree.  At full depth the residue fixes
-    every chain base point, so it is the identity exactly when it also
-    fixes ``extra``.
+    u_gamma's images of the later base points, and of ``extra`` when it is
+    given, are gathered once per pass, one gather per orbit point down the
+    tree; s maps them, and u_delta^-1 is applied to them up the tree
+    (``_Level.unwind``).  ``extra`` is the part of a known base B outside
+    the chain's base: h is then the identity when it fixes every chain
+    base point and ``extra``, and only an h that moves one of them has
+    both sides built at full degree and compared.  ``extra`` is None when
+    no base of the group is known, so B is every point: the sift is the
+    same, and every h that is not a tree edge is decided at full degree.
     """
     levels = chain.levels
     level = levels[i]
-    parent, gens, built = level.parent, level.gens, level.built
+    parent, gens = level.parent, level.gens
     later = chain.base[i + 1 :]
     depth = len(levels)
-    if extra is not None:
-        # u_gamma's images of the later base points and of extra
-        on = {level.point: later + extra}
-        for delta in level.orbit[1:]:
-            gamma, e = parent[delta]
-            on[delta] = _take(gens[e].images, on[gamma])
+    on = {level.point: later if extra is None else later + extra}
+    for delta in level.orbit[1:]:
+        gamma, e = parent[delta]
+        on[delta] = _take(gens[e].images, on[gamma])
     for gamma in level.orbit:
         for e, s in enumerate(gens):
             s_images = s.images
             delta = s_images[gamma]
             if parent[delta] == (gamma, e):
                 continue  # a tree edge: h is the identity
-            if extra is not None:
-                images = _take(s_images, on[gamma])
-                if images == on[delta]:
-                    continue  # h fixes every chain base point and extra
-                divisors, j, rest = chain.sift(level.unwind(delta, images), i + 1)
-                if j == depth and tuple(rest) == extra:
-                    continue
-                u_delta = level.u(delta)
-                product = _take(s_images, level.u(gamma))
-            else:
-                u_delta = built[delta]
-                product = _take(s_images, built[gamma])
-                images = [b if product[b] == u_delta[b] else u_delta.index(product[b]) for b in later]
-                divisors, j, _ = chain.sift(images, i + 1)
-            quotient = _compose([levels[l].u(d) for l, d in reversed(divisors)] + [u_delta])
+            images = _take(s_images, on[gamma])
+            if extra is not None and images == on[delta]:
+                continue  # h fixes every chain base point and extra
+            divisors, j, rest = chain.sift(level.unwind(delta, images), i + 1)
+            if extra is not None and j == depth and tuple(rest) == extra:
+                continue
+            product = _take(s_images, level.u(gamma))
+            quotient = _compose([levels[l].u(d) for l, d in reversed(divisors)] + [level.u(delta)])
             if j == depth and product == quotient:
                 continue
             return Perm._raw(_take(Perm._raw(quotient).inv().images, product)), j
@@ -499,8 +487,9 @@ def build_chain(
     containing B is skipped, and only a residue that becomes a strong
     generator is built at full degree, from the transversal elements it
     was divided by.  With no base known, B is every point, so every
-    level builds its whole transversal on each closure.  The decision is
-    exact either way, so the chain does not depend on B.
+    Schreier generator that is not a tree edge is built at full degree
+    (``_first_residue``).  The decision is exact either way, so the
+    chain does not depend on B.
     """
     identity = tuple(range(degree))
     gens = [g for g in generators if not g.is_identity()]
@@ -534,9 +523,8 @@ def build_chain(
             else:
                 break
 
-    transversal = known_base is None
     for level in levels:
-        level.close(identity, transversal)
+        level.close(identity)
     chain = StabChain(degree, levels)
     i = len(levels) - 1
     while i >= 0:
@@ -555,7 +543,7 @@ def build_chain(
             add_level_for(residue)
         for l in range(i + 1, j + 1):
             levels[l].gens.append(residue)
-            levels[l].close(identity, transversal)
+            levels[l].close(identity)
         i = j
     return chain
 
@@ -570,13 +558,13 @@ def chain_from_stabilizer(
 
     No Schreier generator is sifted, so the caller must know that the
     stabilizer chain's group is exactly G_point (its base must not contain
-    ``point``).  Then the orbit level, closed as in ``build_chain`` but
-    with no transversal element built, and the stabilizer's verified
-    levels form a verified chain of G, and |G| = |orbit| * |G_point|.
+    ``point``).  Then the orbit level, closed as in ``build_chain``, and
+    the stabilizer's verified levels form a verified chain of G, and
+    |G| = |orbit| * |G_point|.
     """
     level = _Level(point)
     level.gens = [g for g in generators if not g.is_identity()]
-    level.close(tuple(range(degree)), False)
+    level.close(tuple(range(degree)))
     return StabChain(degree, [level, *stabilizer.levels])
 
 

@@ -288,6 +288,33 @@ def test_analyze_from_file(tmp_path, capsys):
     assert payload["d"]["value"] == 3  # q = 5 is 1 mod 4: the d = 3 branch
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("s0", "--q", "5"),
+        ("s0", "--q", "9", "--action", "all"),
+        ("sl2", "--p", "7", "--action", "all"),
+        ("agl1", "--q", "8"),
+        ("zgroup", "--m", "7", "--n", "3", "--r", "2"),
+    ],
+    ids=" ".join,
+)
+def test_analyze_from_file_matches_the_built_group(tmp_path, capsys, argv):
+    # a group read from text has no known base, so its chain is verified
+    # at every point; the report must not depend on that
+    source = tmp_path / "group.txt"
+    code, _, _ = run_cli(capsys, "construct", *argv, "--out", str(source))
+    assert code == 0
+    reports = []
+    for args in (("--in", str(source)), argv):
+        code, out, _ = run_cli(capsys, "analyze", *args)
+        assert code == 0
+        payload = strip_timing(json.loads(out))
+        del payload["name"]
+        reports.append(payload)
+    assert reports[0] == reports[1]
+
+
 def test_analyze_missing_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "--in", "/nonexistent/group.txt")
     assert code == 2

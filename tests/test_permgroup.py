@@ -420,8 +420,11 @@ def test_known_base_chain_matches_strip_reference_on_random_groups(seed):
         rng = random.Random(s)
         forced = tuple(rng.sample(range(G.degree), rng.randint(1, min(3, G.degree))))
         known = build_chain(G.degree, G.generators, forced).base
+        every_point = tuple(range(G.degree))
         for initial_base in ((), forced):
             assert_known_base_chain_matches_reference(G.degree, G.generators, known, initial_base)
+            # with no base known, build_chain decides on every point
+            assert_known_base_chain_matches_reference(G.degree, G.generators, every_point, initial_base)
 
 
 def affine_linear_parts():
