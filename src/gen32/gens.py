@@ -38,18 +38,13 @@ and no later candidate x' in K can complete the prefix, as <P, x'> <= K:
 the scan prunes by the subgroups it has found (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005, 4.6).  While P's keys are
 tracked (not at the first slot, whose values are class representatives,
-nor past the limit), a K with at most ``PREFIX_SET_LIMIT`` elements is
-closed on keys and they are marked, so a marked candidate is rejected
-before a permutation is built for it: after an orbit-filter failure the
-closure stops at the limit, and after a failed order computation K is
-closed only when its order fits.  A K over the limit, which an order
-computation has found, is kept with its chain instead; each candidate
-is tested for membership in the kept subgroups before the orbit filter
-runs, and a kept subgroup that a newer one contains is dropped.  Only
-candidates that cannot generate are skipped, so the first witness does
-not move.  A skipped candidate still counts as a test, as one the
-filters reject does, so budgets, truncation points and budget messages
-are those of the scan without the skip.
+nor past the limit), every such K is closed on keys in full, whatever
+its size, and its keys are marked, so a marked candidate is rejected
+before a permutation is built for it.  Only candidates that cannot
+generate are skipped, so the first witness does not move.  A skipped
+candidate still counts as a test, as one the filters reject does, so
+budgets, truncation points and budget messages are those of the scan
+without the skip.
 Middle slots do not skip this way, as a skipped middle value would take
 its last-slot candidates out of that count.
 
@@ -97,6 +92,8 @@ from .field import is_prime, prime_factors
 from .permgroup import ELEMENT_LIMIT, Perm, PermGroup, coset_action, derived_subgroup
 
 DEFAULT_BUDGET = 10**8
+# the largest prefix subgroup of a middle slot whose keys are tracked;
+# the last slot's failure closures are not bounded
 PREFIX_SET_LIMIT = 4096
 ABELIAN_FILTER_LIMIT = 256
 
@@ -290,11 +287,10 @@ class _Search:
         generates (None: not tracked).  The first slot runs over the
         class representatives, every later one over all elements.
 
-        The last slot also skips, after counting it as a test, a candidate
-        in a proper subgroup <P, x> that an earlier candidate x of this
-        scan gave: marked by its keys when ``sub`` is tracked and <P, x>
-        fits ``PREFIX_SET_LIMIT``, else, when an order computation found
-        <P, x> over the limit, tested against its chain."""
+        The last slot accepts a candidate x when <P, x> has G's orbits and
+        order |G|.  While ``sub`` is tracked it closes every other <P, x>
+        in full and marks its keys, and skips, after counting it as a
+        test, each later candidate with a marked key."""
         keyed = self._keyed
         keys = keyed.keys
         ab = self._ab
@@ -310,7 +306,6 @@ class _Search:
             # per key: False in the prefix subgroup, True in a proper
             # subgroup <P, x> found by this scan; one lookup decides both
             failed = dict.fromkeys(sub, False) if sub is not None else {}
-            kept: list[PermGroup] = []  # the proper <P, x> over the cap
             P = None  # the prefix group, built for the first candidate tested
             for i in slots:
                 key = keys[i]
@@ -326,22 +321,10 @@ class _Search:
                 x = keyed.perm(i)
                 if P is None:
                     P = self.G.subgroup(perms)
-                if any(x in K for K in kept):
-                    continue
                 cand = perms + (x,)
-                if not self._joins_orbits(P, x):
-                    if sub is not None:
-                        _mark(failed, keyed.closure(cand, PREFIX_SET_LIMIT))
-                    continue
-                K = self.G.subgroup(cand)
-                order = K.order()
-                if order == self.n:
+                if self._joins_orbits(P, x) and self.G.subgroup(cand).order() == self.n:
                     return cand
-                if order > PREFIX_SET_LIMIT:
-                    # H = <P, y> lies in K exactly when y does
-                    kept = [H for H in kept if H.generators[-1] not in K]
-                    kept.append(K)
-                elif sub is not None:
+                if sub is not None:
                     _mark(failed, keyed.closure(cand))
             return None
         for i in slots:
@@ -357,12 +340,10 @@ class _Search:
         return None
 
 
-def _mark(failed: dict[tuple[int, ...], bool], closure: set[tuple[int, ...]] | None) -> None:
-    """Mark the keys of a closure (None: over the cap, so nothing) as in a
-    subgroup that does not generate, leaving the prefix subgroup's as they
-    are."""
-    if closure is not None:
-        failed.update(dict.fromkeys(closure.difference(failed), True))
+def _mark(failed: dict[tuple[int, ...], bool], closure: set[tuple[int, ...]]) -> None:
+    """Mark the keys of a closure as in a subgroup that does not generate,
+    leaving the prefix subgroup's as they are."""
+    failed.update(dict.fromkeys(closure.difference(failed), True))
 
 
 def _lift(

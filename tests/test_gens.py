@@ -528,7 +528,8 @@ def search_trace(search_cls, G, budget):
 @pytest.mark.parametrize("cap", [gens.PREFIX_SET_LIMIT, 8])
 @pytest.mark.parametrize("seed", range(0, 210, 70))
 def test_last_slot_pruning_matches_the_unpruned_scan_on_random_groups(monkeypatch, seed, cap):
-    # with the cap at 8 most failed subgroups are kept, not marked
+    # with the cap at 8 fewer middle-slot prefixes are tracked, and a failed
+    # <P, x> over the cap is still closed in full and marked
     monkeypatch.setattr(gens, "PREFIX_SET_LIMIT", cap)
     marked = []
     mark = gens._mark
@@ -576,30 +577,43 @@ def test_corollary3_overgroup_search_builds_few_chains(monkeypatch):
     assert len(builds) <= 20
 
 
-def test_subgroups_over_the_cap_are_kept_and_skip_candidates(monkeypatch):
-    want = d_exact(corollary3_case2_overgroup(3)).witness.elements
-    monkeypatch.setattr(gens, "PREFIX_SET_LIMIT", 64)
-    found = []
-    contains = PermGroup.__contains__
-
-    def recording(K, g):
-        got = contains(K, g)
-        found.append(got and K.order())
-        return got
-
-    calls = []
+def search_work(monkeypatch, G):
+    """d_exact's witness on G with the closures passed to ``_mark`` and the
+    number of ``orbit_with`` calls it makes."""
+    marked, calls = [], []
+    mark = gens._mark
     orbit_with = PermGroup.orbit_with
-    monkeypatch.setattr(PermGroup, "__contains__", recording)
-    monkeypatch.setattr(
-        PermGroup, "orbit_with", lambda P, g, alpha: calls.append(alpha) or orbit_with(P, g, alpha)
-    )
+    with monkeypatch.context() as mp:
+        mp.setattr(gens, "_mark", lambda failed, keys: marked.append(keys) or mark(failed, keys))
+        mp.setattr(PermGroup, "orbit_with", lambda P, g, alpha: calls.append(alpha) or orbit_with(P, g, alpha))
+        witness = [g.images for g in d_exact(G).witness.elements]
+    return witness, marked, len(calls)
+
+
+def test_failed_subgroups_over_the_cap_are_marked_in_full(monkeypatch):
+    want = [g.images for g in d_exact(corollary3_case2_overgroup(3)).witness.elements]
+    monkeypatch.setattr(gens, "PREFIX_SET_LIMIT", 64)
     G = corollary3_case2_overgroup(3)
-    assert d_exact(G).witness.elements == want
-    # a candidate skipped as a member of a kept proper subgroup
-    assert any(64 < order < G.order() for order in found)
-    # the kept subgroups are asked first: orbit-testing every candidate
-    # they then skip makes 2,400 calls
-    assert len(calls) <= 200
+    witness, marked, calls = search_work(monkeypatch, G)
+    assert witness == want
+    # a proper <P, x> over the cap whose keys are marked
+    assert any(64 < len(keys) < G.order() for keys in marked)
+    # marking every failed subgroup skips its members before the orbit
+    # filter: orbit-testing every candidate makes 2,400 calls
+    assert calls <= 200
+
+
+@pytest.mark.parametrize("j", [3, 10])
+def test_a_small_prefix_cap_leaves_the_last_slot_work_unchanged(monkeypatch, j):
+    # the cap bounds only which middle-slot prefixes are tracked, not the
+    # last slot's failure closures, so none of them is abandoned
+    G = corollary3_case2_overgroup(j)
+    witness, marked, calls = search_work(monkeypatch, G)
+    monkeypatch.setattr(gens, "PREFIX_SET_LIMIT", 64)
+    small_witness, small_marked, small_calls = search_work(monkeypatch, corollary3_case2_overgroup(j))
+    assert None not in small_marked
+    assert (len(small_marked), small_calls) == (len(marked), calls)
+    assert small_witness == witness
 
 
 def orbit_count_by_union_find(degree, perms):
