@@ -9,14 +9,15 @@ Everything the CLI and the claim suites can build lives here:
 * ``affine_group(G0)`` — the semidirect product V . G0 of the
   translation group of V = GF(q)^dim with a matrix group G0, as a
   permutation group on the q^dim vector codes, and
-  ``affine_of_linear_perms`` for a linear part given by permutations.
-  Both check that every linear generator fixes the zero vector and is
-  additive.  Then the translations are a regular normal subgroup and the
-  linear part is the whole stabilizer of 0, so the stabilizer chain is
-  assembled, when first needed, from a level for the orbit of 0 on top
-  of a Schreier-Sims chain of the linear generators alone, instead of a
-  Schreier-Sims run over V . G0.  Its ``field``, ``dim`` and ``linear``
-  are all that ``is_irreducible`` and ``gens.d_affine`` read.
+  ``affine_of_linear_perms`` for a linear part given by permutations of
+  those codes.  Both check that every linear generator fixes the zero
+  vector and is additive.  Then the translations are a regular normal
+  subgroup and the linear part is the whole stabilizer of 0, so the
+  stabilizer chain is assembled, when first needed, from a level for the
+  orbit of 0 on top of a Schreier-Sims chain of the linear generators
+  alone, instead of a Schreier-Sims run over V . G0.  Its ``field``,
+  ``dim`` and ``linear`` are all that ``is_irreducible`` and
+  ``gens.d_affine`` read.
 * ``table1_group(i)`` / ``table2_group(i)`` — affine groups over
   stabilizer matrix groups loaded from the bundled ``data/*.mat`` files
   (four exceptional 3/2-transitive groups and the two larger monomial
@@ -148,7 +149,7 @@ class _AffineGroup(PermGroup):
     H of additive permutations fixing the zero vector.
 
     V is GF(q)^dim for ``field`` and ``dim``, and ``linear`` is H on all
-    q^dim codes, with the GF(p)-basis codes p^k as a known base: an
+    q^dim codes with a known base, such as the GF(p)-basis codes p^k: an
     additive permutation fixing them fixes every code.
 
     Its generators are the dim GF(q)-basis translations (codes q^i), then
@@ -171,10 +172,10 @@ class _AffineGroup(PermGroup):
 
     __slots__ = ("field", "dim", "linear")
 
-    def __init__(self, field: FieldSpec, dim: int, linear: tuple[Perm, ...]):
+    def __init__(self, field: FieldSpec, dim: int, linear: PermGroup):
         total = field.q**dim
-        gens = translation_perms(field, dim) + list(linear)
-        for g in linear:
+        gens = translation_perms(field, dim) + list(linear.generators)
+        for g in linear.generators:
             _check_additive(field.p, g)
         for k in range(field.m * dim):
             if k % field.m and field.p**k not in PermGroup(total, gens).orbit(0):
@@ -182,7 +183,7 @@ class _AffineGroup(PermGroup):
         super().__init__(total, gens)
         self.field = field
         self.dim = dim
-        self.linear = PermGroup._with_base(total, linear, [field.p**k for k in range(field.m * dim)])
+        self.linear = linear
 
     def chain(self) -> StabChain:
         if self._chain is None:
@@ -190,36 +191,33 @@ class _AffineGroup(PermGroup):
         return self._chain
 
 
-def affine_of_linear_perms(field: FieldSpec, dim: int, nonzero_perms: tuple[Perm, ...]) -> PermGroup:
+def affine_of_linear_perms(field: FieldSpec, dim: int, linear_perms: tuple[Perm, ...]) -> PermGroup:
     """The affine group V . L for a linear group L given by its
-    permutations of nonzero vectors.
+    permutations of all q^dim vector codes.
 
     Generators are the dim GF(q)-basis translations, the linear
-    generators extended to fix the zero vector, and over GF(p^m) with
-    m > 1 the GF(p)-basis translations still needed to generate V.  Each
-    linear generator must be additive (else ``PreconditionError``), and
-    the stabilizer chain is assembled from the translations and a chain
-    of L alone (``_AffineGroup``).
+    generators, and over GF(p^m) with m > 1 the GF(p)-basis translations
+    still needed to generate V.  Each linear generator must have degree
+    q^dim, fix the zero vector and be additive (else
+    ``PreconditionError``), and the stabilizer chain is assembled from
+    the translations and a chain of L alone (``_AffineGroup``).
     """
-    total = field.q**dim
-    for g in nonzero_perms:
-        if g.degree != total - 1:
-            raise PreconditionError("linear permutation degree mismatch")
-    return _AffineGroup(field, dim, tuple(extend_fixing_zero(g) for g in nonzero_perms))
+    base = [field.p**k for k in range(field.m * dim)]
+    return _AffineGroup(field, dim, PermGroup._with_base(field.q**dim, linear_perms, base))
 
 
 def affine_group(G0: MatrixGroup) -> PermGroup:
     """The semidirect product V . G0 on all q^dim vector codes.
 
-    The linear part is G0's permutation group on nonzero vectors
-    (``MatrixGroup.perm_group``, which converts each matrix once), so the
+    The linear part is G0's own permutation group on all vectors
+    (``MatrixGroup.perm_group("all")``, with its chain shared), so the
     generators are the dim standard-basis translations followed by the
-    permutations of the matrix generators of G0 on all vectors.  Over
-    GF(p^m) with m > 1 the translations by the GF(p)-basis codes p^k
-    that these do not yet reach follow, so the translations generate V
-    even when G0 is irreducible over GF(q) but not over GF(p).
+    permutations of the matrix generators of G0.  Over GF(p^m) with
+    m > 1 the translations by the GF(p)-basis codes p^k that these do
+    not yet reach follow, so the translations generate V even when G0
+    is irreducible over GF(q) but not over GF(p).
     """
-    return affine_of_linear_perms(G0.field, G0.dim, G0.perm_group("nonzero").generators)
+    return _AffineGroup(G0.field, G0.dim, G0.perm_group("all"))
 
 
 # ---------------------------------------------------------------------------

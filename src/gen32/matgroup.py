@@ -8,7 +8,8 @@ code 0.  Converting a matrix to the permutation it induces on point
 codes is therefore a homomorphism onto a permutation group under the
 left-to-right product convention of :mod:`gen32.permgroup`, and all
 group-level questions about a matrix group (order, membership) are
-settled on the faithful permutation image on nonzero vectors.
+settled on the faithful permutation image on all vectors, which affine
+groups share as their linear part.
 
 A matrix holds the integer codes of its entries, is built from codes
 (``MatrixF.from_codes``), and every computation here (products, the
@@ -164,12 +165,12 @@ class MatrixGroup:
     """A group of invertible matrices, given by generators.
 
     All group-theoretic questions are delegated to the faithful
-    permutation image on nonzero vectors (a linear map fixing every
-    nonzero vector is the identity), so the order of the matrix group is
-    by definition the order of that permutation group.  A linear map
-    fixing the standard basis vectors is the identity, so their points,
-    the codes q^i (q^i - 1 on nonzero vectors), are a base of either
-    permutation group.
+    permutation image on all vectors, the one ``affine_group`` takes as
+    its linear part, so the order of the matrix group is by definition
+    the order of that permutation group.  A linear map fixing the
+    standard basis vectors is the identity, so their points, the codes
+    q^i (q^i - 1 on nonzero vectors), are a base of either permutation
+    group.
     """
 
     __slots__ = ("field", "dim", "generators", "_perm_groups")
@@ -197,7 +198,7 @@ class MatrixGroup:
         return self._perm_groups[action]
 
     def order(self) -> int:
-        return self.perm_group("nonzero").order()
+        return self.perm_group("all").order()
 
     def __repr__(self) -> str:
         return f"MatrixGroup({self.field!r}, dim={self.dim}, {len(self.generators)} gens)"

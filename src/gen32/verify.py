@@ -169,14 +169,14 @@ def verify_lemma7(q_list: Sequence[int] | None = None) -> list[ClaimVerdict]:
 
 def _witness_scan(G0: PermGroup, M0: PermGroup, order_wanted: int) -> bool:
     """Every element of M0 of the given order, adjoined to G0's
-    generators, must act transitively on the underlying points; the scan
-    is exhaustive and fails when no element has that order.  G0's
-    orbits are found once, and each candidate's orbit of point 0 is
-    grown by whole orbits of G0 (``PermGroup.orbit_with``)."""
+    generators, must act transitively on the nonzero vector codes; the
+    scan is exhaustive and fails when no element has that order.  G0's
+    orbits are found once, and each candidate's orbit of code 1 is grown
+    by whole orbits of G0 (``PermGroup.orbit_with``)."""
     candidates = M0.elements_of_order(order_wanted)
     if not candidates:
         return False
-    return all(len(G0.orbit_with(g, 0)) == M0.degree for g in candidates)
+    return all(len(G0.orbit_with(g, 1)) == M0.degree - 1 for g in candidates)
 
 
 def verify_table2() -> list[ClaimVerdict]:
@@ -186,8 +186,8 @@ def verify_table2() -> list[ClaimVerdict]:
         exp = TABLE2_EXPECTED[i]
         M0m = table2_matrix_group(i)
         G0m = table1_matrix_group(i)
-        M0 = M0m.perm_group("nonzero")
-        G0 = G0m.perm_group("nonzero")
+        M0 = M0m.perm_group("all")
+        G0 = G0m.perm_group("all")
         M = affine_group(M0m)
         cid = f"table2.M{i}"
         out.append(_claim(f"{cid}.order0", exp["order0"], lambda M0=M0: M0.order()))
@@ -223,8 +223,8 @@ def verify_corollary3(i: int) -> list[ClaimVerdict]:
     r1 = exp["r1"]
     G0m = table1_matrix_group(i)
     M0m = table2_matrix_group(i)
-    G0 = G0m.perm_group("nonzero")
-    M0 = M0m.perm_group("nonzero")
+    G0 = G0m.perm_group("all")
+    M0 = M0m.perm_group("all")
     ca = coset_action(M0, G0)
     Q = ca.group
     cid = f"corollary3.case{i}"

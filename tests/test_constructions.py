@@ -136,8 +136,8 @@ def test_affine_group_of_s0_5():
 
 def test_affine_of_linear_perms_matches_affine_group():
     G0 = s0_group(5)
-    nonzero = [perm_from_matrix(m) for m in G0.generators]
-    A = affine_of_linear_perms(G0.field, 2, nonzero)
+    linear = [perm_from_matrix(m, "all") for m in G0.generators]
+    A = affine_of_linear_perms(G0.field, 2, linear)
     B = affine_group(G0)
     assert A.order() == B.order()
     assert set(A.generators) == set(B.generators)
@@ -162,10 +162,12 @@ def _count_conversions(monkeypatch):
 def test_affine_group_converts_each_matrix_once(monkeypatch):
     calls = _count_conversions(monkeypatch)
     G0 = s0_group(5)
-    affine_group(G0)
-    G0.perm_group("nonzero")
-    affine_group(G0)
-    assert calls == [(M, "nonzero") for M in G0.generators]
+    A = affine_group(G0)
+    # the linear part is the matrix group's own image on all vectors
+    assert A.linear is G0.perm_group("all")
+    assert affine_group(G0).linear is A.linear
+    assert calls == [(M, "all") for M in G0.generators]
+    assert table1_group(1).linear is table1_group(1).linear
 
 
 @pytest.mark.parametrize(
@@ -187,8 +189,8 @@ def _corollary3_groups(case):
     """The affine groups the corollary3 suite checks, built the same way:
     V . T_0 for one T_0 per class of subgroups between G_0 and M_0."""
     G0m = table1_matrix_group(case)
-    G0 = G0m.perm_group("nonzero")
-    ca = coset_action(table2_matrix_group(case).perm_group("nonzero"), G0)
+    G0 = G0m.perm_group("all")
+    ca = coset_action(table2_matrix_group(case).perm_group("all"), G0)
     for sc in subgroups_up_to_conjugacy(ca.group):
         lifts = tuple(ca.reps[g.images[0]] for g in sc.representative.generators)
         yield affine_of_linear_perms(G0m.field, G0m.dim, tuple(G0.generators) + lifts)
@@ -273,7 +275,7 @@ def test_affine_group_over_gf9_has_every_translation(make, order, appended):
     # the translations appended after the linear generators, by code
     extra = A.generators[G0.dim + len(G0.generators) :]
     assert [g.images[0] for g in extra] == appended
-    linear = G0.perm_group("nonzero").generators
+    linear = G0.perm_group("all").generators
     assert affine_of_linear_perms(G0.field, G0.dim, linear).generators == A.generators
     _assert_chain_matches_schreier_sims(A, seed=order)
 
@@ -287,7 +289,7 @@ def test_affine_chain_matches_schreier_sims_on_corollary3_groups(case):
 
 
 def test_affine_constructions_build_no_chain_until_asked(monkeypatch):
-    from gen32 import permgroup
+    from gen32 import constructions, permgroup
 
     calls = []
     real = permgroup.build_chain
@@ -297,6 +299,8 @@ def test_affine_constructions_build_no_chain_until_asked(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(permgroup, "build_chain", counting)
+    # a fresh matrix group, whose image on all vectors has no chain yet
+    monkeypatch.setattr(constructions, "_TABLE_CACHE", {})
     G = table1_group(4)
     assert calls == []
     assert G.order() == 289 * 64
@@ -305,26 +309,30 @@ def test_affine_constructions_build_no_chain_until_asked(monkeypatch):
 
 
 def test_affine_rejects_a_linear_part_moving_zero():
-    from gen32.constructions import _AffineGroup
-
     moves_zero = Perm.from_cycles(25, [(0, 1)])
     with pytest.raises(PreconditionError, match="zero vector"):
-        _AffineGroup(gf(5), 2, (moves_zero,))
+        affine_of_linear_perms(gf(5), 2, (moves_zero,))
+
+
+def test_affine_rejects_a_linear_part_on_the_nonzero_vectors():
+    nonzero = perm_from_matrix(s0_group(5).generators[0], "nonzero")
+    with pytest.raises(PreconditionError, match="degree 24"):
+        affine_of_linear_perms(gf(5), 2, (nonzero,))
 
 
 @pytest.mark.parametrize(
     "q,dim,cycle",
-    # each cycle swaps the nonzero vectors of codes c + 1
+    # each cycle swaps two nonzero vector codes
     [
-        (5, 1, (1, 2)),  # 2, 3: image(2) must be image(1) + image(1)
-        (5, 2, (9, 14)),  # 10, 15: image(10) must be image(5) + image(5)
-        (5, 2, (5, 6)),  # 6, 7: image(6) must be image(5) + image(1)
-        (4, 2, (13, 14)),  # 14, 15 over GF(4): image(15) must be image(8) xor image(7)
+        (5, 1, (2, 3)),  # image(2) must be image(1) + image(1)
+        (5, 2, (10, 15)),  # image(10) must be image(5) + image(5)
+        (5, 2, (6, 7)),  # image(6) must be image(5) + image(1)
+        (4, 2, (14, 15)),  # over GF(4): image(15) must be image(8) xor image(7)
     ],
 )
 def test_affine_rejects_a_linear_part_that_is_not_additive(q, dim, cycle):
     # a transposition of two nonzero vectors fixes 0 but is not additive
-    g = Perm.from_cycles(q**dim - 1, [cycle])
+    g = Perm.from_cycles(q**dim, [cycle])
     with pytest.raises(PreconditionError, match="not additive"):
         affine_of_linear_perms(gf(q), dim, (g,))
 
@@ -333,8 +341,8 @@ def test_affine_accepts_additive_maps_that_are_not_linear():
     # the Frobenius map x -> x^2 of GF(4) is additive but not GF(4)-linear;
     # with x -> wx it generates the semilinear group of order 4 * 6
     f = gf(4)
-    frob = Perm([(f.element(c) * f.element(c)).code - 1 for c in range(1, 4)])
-    w = Perm([(f.element(c) * primitive_element(f)).code - 1 for c in range(1, 4)])
+    frob = Perm([(f.element(c) * f.element(c)).code for c in range(4)])
+    w = Perm([(f.element(c) * primitive_element(f)).code for c in range(4)])
     G = affine_of_linear_perms(f, 1, (frob, w))
     assert G.order() == PermGroup(G.degree, G.generators).order() == 24
 

@@ -501,8 +501,8 @@ def corollary3_case2_overgroup(j):
     """V . T_0 on 81 points for the j-th class that ``verify_corollary3(2)``
     enumerates, the group of claim ``corollary3.case2.T{j:02d}``."""
     G0m, M0m = table1_matrix_group(2), table2_matrix_group(2)
-    G0 = G0m.perm_group("nonzero")
-    ca = coset_action(M0m.perm_group("nonzero"), G0)
+    G0 = G0m.perm_group("all")
+    ca = coset_action(M0m.perm_group("all"), G0)
     Tbar = subgroups_up_to_conjugacy(ca.group)[j].representative
     lifts = tuple(ca.reps[g.images[0]] for g in Tbar.generators)
     return affine_of_linear_perms(G0m.field, G0m.dim, G0.generators + lifts)

@@ -100,6 +100,27 @@ def test_corollary3_case1_structure():
     assert all(v.passed for v in verdicts)
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [verify_table2, lambda: verify_corollary3(1), lambda: verify_corollary3(2)],
+    ids=["table2", "corollary3-case1", "corollary3-case2"],
+)
+def test_table2_and_corollary3_build_no_chain_on_the_nonzero_vectors(monkeypatch, suite):
+    # G_0 and M_0 act on all q^dim vector codes, as the affine groups'
+    # linear parts do, so no chain of degree q^dim - 1 (24 or 80) is built
+    from gen32 import constructions, permgroup
+
+    degrees = []
+    build_chain = permgroup.build_chain
+    monkeypatch.setattr(
+        permgroup, "build_chain", lambda degree, *rest: degrees.append(degree) or build_chain(degree, *rest)
+    )
+    # fresh matrix groups, whose permutation images have no chain yet
+    monkeypatch.setattr(constructions, "_TABLE_CACHE", {})
+    assert all(v.passed for v in suite())
+    assert degrees and not {24, 80} & set(degrees)
+
+
 def test_run_suite_dispatch():
     assert [v.claim_id for v in run_suite("table2")] == [
         v.claim_id for v in verify_table2()
