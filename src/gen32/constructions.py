@@ -11,13 +11,14 @@ Everything the CLI and the claim suites can build lives here:
   permutation group on the q^dim vector codes, and
   ``affine_of_linear_perms`` for a linear part given by permutations of
   those codes.  Both check that every linear generator fixes the zero
-  vector and is additive.  Then the translations are a regular normal
-  subgroup and the linear part is the whole stabilizer of 0, so the
-  stabilizer chain is assembled, when first needed, from a level for the
-  orbit of 0 on top of a Schreier-Sims chain of the linear generators
-  alone, instead of a Schreier-Sims run over V . G0.  Its ``field``,
-  ``dim`` and ``linear`` are all that ``is_irreducible`` and
-  ``gens.d_affine`` read.
+  vector and is additive: that it equals the map ``additive_images``
+  builds from its images of the GF(p)-basis codes p^k.  Then the
+  translations are a regular normal subgroup and the linear part is the
+  whole stabilizer of 0, so the stabilizer chain is assembled, when
+  first needed, from a level for the orbit of 0 on top of a Schreier-Sims
+  chain of the linear generators alone, instead of a Schreier-Sims run
+  over V . G0.  Its ``field``, ``dim`` and ``linear`` are all that
+  ``is_irreducible`` and ``gens.d_affine`` read.
 * ``table1_group(i)`` / ``table2_group(i)`` — affine groups over
   stabilizer matrix groups loaded from the bundled ``data/*.mat`` files
   (four exceptional 3/2-transitive groups and the two larger monomial
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
-from .field import POINT_LIMIT, FieldSpec, add_codes, field_make, prime_power
+from .field import POINT_LIMIT, FieldSpec, add_codes, additive_images, field_make, prime_power
 # is_irreducible is here for gens, which takes affine groups from this module
 from .matgroup import MatrixF, MatrixGroup, is_irreducible, matrix_group_from_text
 from .permgroup import Perm, PermGroup, StabChain, chain_from_stabilizer
@@ -120,28 +121,19 @@ def extend_fixing_zero(g: Perm) -> Perm:
 
 def _check_additive(p: int, g: Perm) -> None:
     """Raise unless a permutation of the vector codes fixes the zero
-    vector and is additive, g[a + b] = g[a] + g[b].
-
-    One code sum is checked per point: g[c] = g[t*p^k] + g[r] for every
-    code c = t*p^k + r with leading digit t and 0 < r < p^k, and
-    g[t*p^k] = g[(t-1)*p^k] + g[p^k] for t >= 2.  By induction on the
-    digits, g[c] is then the digit-weighted sum of the images of the
-    codes p^k, so g is additive.
+    vector and is additive, g[a + b] = g[a] + g[b]: g must equal the
+    additive map that ``additive_images`` builds from g's own images of
+    the GF(p)-basis codes p^k, one code sum per point.
     """
     images = g.images
     if images[0] != 0:
         raise PreconditionError("linear generator moves the zero vector")
-    total = len(images)
-    w = 1
-    while w < total:
-        for head in range(w, p * w, w):
-            if head > w and images[head] != add_codes(p, images[head - w], images[w]):
-                raise PreconditionError("linear generator is not additive")
-            head_image = images[head]
-            for r in range(1, w):
-                if images[head + r] != add_codes(p, head_image, images[r]):
-                    raise PreconditionError("linear generator is not additive")
+    basis, w = [], 1
+    while w < len(images):
+        basis.append(images[w])
         w *= p
+    if tuple(additive_images(p, basis)) != images:
+        raise PreconditionError("linear generator is not additive")
 
 
 class _AffineGroup(PermGroup):

@@ -17,7 +17,10 @@ The engine computes on codes: ``FieldSpec.ops`` adds, subtracts,
 negates, multiplies and inverts codes, by plain arithmetic mod p in a
 prime field.  For m > 1 it adds codes digit by digit (``add_codes``, the
 one sum of codes, which also adds vectors) and multiplies them through
-log/antilog tables of size q, built on first use.  ``FieldElement``
+log/antilog tables of size q, built on first use.  An additive map of
+vector codes, such as a matrix's action, is fixed by its images of the
+GF(p)-basis codes p^k; ``additive_images`` builds its images of all
+codes from them, one code sum per code.  ``FieldElement``
 (``FieldSpec.element``, ``zero``, ``one``) computes on coefficient
 tuples by polynomial arithmetic; nothing in the engine uses it, and it
 is kept as the reference the code arithmetic is tested against.
@@ -223,6 +226,26 @@ def add_codes(p: int, a: int, b: int) -> int:
         out += (x + y) % p * weight
         weight *= p
     return out
+
+
+def additive_images(p: int, basis_images: Sequence[int]) -> list[int]:
+    """The images of the codes 0 .. p^n - 1 under the additive map that
+    sends the GF(p)-basis code p^k to ``basis_images[k]``, for k < n.
+
+    The images are built in code order: for a code t*p^k + r with leading
+    digit t and r < p^k, image(t*p^k + r) = image(t*p^k) + image(r), where
+    image(t*p^k) = image((t-1)*p^k) + image(p^k).  Every nonzero code
+    costs one ``add_codes``.
+    """
+    images = [0]
+    for b in basis_images:
+        lower = images[1:]
+        head = 0
+        for _ in range(1, p):
+            head = add_codes(p, head, b)
+            images.append(head)
+            images.extend([add_codes(p, head, r) for r in lower])
+    return images
 
 
 def _primitive_code(p: int, m: int, modulus: Sequence[int] | None) -> int:

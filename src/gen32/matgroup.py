@@ -12,10 +12,12 @@ settled on the faithful permutation image on all vectors, which affine
 groups share as their linear part.
 
 A matrix holds the integer codes of its entries, is built from codes
-(``MatrixF.from_codes``), and every computation here (products, the
-determinant's code, the point images of ``perm_from_matrix``, the
-echelon reduction of ``is_irreducible``) runs on codes through the
-field's ``FieldSpec.ops``.
+(``MatrixF.from_codes``), and every computation here (the determinant's
+code, the basis-vector images from which ``perm_from_matrix`` builds a
+matrix's image on all codes by ``field.additive_images``, the echelon
+reduction of ``is_irreducible``) runs on codes through the field's
+``FieldSpec.ops``.  The image on the nonzero vectors relabels that one
+(``MatrixGroup.perm_group``).
 
 The text format for matrix-group files is::
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .field import POINT_LIMIT, CodeOps, FieldSpec, add_codes, field_make
+from .field import POINT_LIMIT, CodeOps, FieldSpec, additive_images, field_make
 from .permgroup import Perm, PermGroup
 
 
@@ -56,20 +58,8 @@ class MatrixF:
             raise PreconditionError(f"entry code {bad} out of range for GF({field.q})")
         return M
 
-    @classmethod
-    def identity(cls, field: FieldSpec, dim: int) -> MatrixF:
-        return cls.from_codes(field, [[int(i == j) for j in range(dim)] for i in range(dim)])
-
     def codes(self) -> tuple[tuple[int, ...], ...]:
         return self._codes
-
-    def __mul__(self, other: MatrixF) -> MatrixF:
-        if self.field != other.field or self.dim != other.dim:
-            raise PreconditionError("matrix shape or field mismatch")
-        ops = self.field.ops
-        return MatrixF.from_codes(
-            self.field, [_row_times(r, other._codes, ops) for r in self._codes]
-        )
 
     def det(self) -> int:
         """The code of the determinant, by Gaussian elimination."""
@@ -112,50 +102,28 @@ class MatrixF:
         return f"MatrixF({self.field!r}, {list(map(list, self._codes))})"
 
 
-def _row_times(v: Sequence[int], rows: Sequence[Sequence[int]], ops: CodeOps) -> list[int]:
-    """The codes of v * M for the codes v of a row vector and rows of M:
-    the combination of M's rows with v's coordinates as coefficients."""
-    add, mul = ops.add, ops.mul
-    out = [0] * len(rows)
-    for x, row in zip(v, rows):
-        if x:
-            out = [add(a, mul(x, b)) for a, b in zip(out, row)]
-    return out
+def perm_from_matrix(M: MatrixF) -> Perm:
+    """The permutation an invertible matrix induces on all q^dim vector
+    codes, the zero vector at code 0; the point count is capped at 10^6.
 
-
-def perm_from_matrix(M: MatrixF, action: str = "nonzero") -> Perm:
-    """The permutation a matrix induces on vector point codes.
-
-    ``action`` is ``"all"`` (degree q^dim, zero vector = point 0) or
-    ``"nonzero"`` (degree q^dim - 1, vector of code c+1 = point c).  The
-    matrix must be invertible and the point count is capped at 10^6.
-
-    Images are built in code order by linearity.  For r < q^j the code
-    d*q^j + r is the vector d*e_j + r, so its image is
-    image(d*q^j) + image(r): only the images d * (row j of M) of the
-    q*dim vectors d*e_j multiply codes, and every other point costs one
-    code addition.
+    The map v -> v * M is additive, so its images are those of
+    ``additive_images`` on the GF(p)-basis codes p^(j + m*i), the vectors
+    x^j * e_i for x the field element of code p: the image of x^j * e_i
+    is x^j times row i of M.
     """
     f = M.field
     total = f.q**M.dim
     if total > POINT_LIMIT:
         raise PreconditionError(f"point count {total} exceeds cap {POINT_LIMIT}")
-    if action not in ("all", "nonzero"):
-        raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
     if not M.is_invertible():
         raise PreconditionError("only invertible matrices induce permutations")
     p, q, mul = f.p, f.q, f.ops.mul
-    images = [0]
-    for row in M.codes():
-        lower = images[:]
-        for d in range(1, q):
-            head = 0
-            for x in reversed(row):
-                head = head * q + mul(d, x)
-            images.extend(add_codes(p, head, r) for r in lower)
-    if action == "all":
-        return Perm(images)
-    return Perm([x - 1 for x in images[1:]])
+    basis_images = [
+        sum(mul(p**j, x) * q**c for c, x in enumerate(row))
+        for row in M.codes()
+        for j in range(f.m)
+    ]
+    return Perm(additive_images(p, basis_images))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +155,23 @@ class MatrixGroup:
         self._perm_groups: dict[str, PermGroup] = {}
 
     def perm_group(self, action: str = "nonzero") -> PermGroup:
+        """The permutation image on all q^dim vector codes (``"all"``) or
+        on the q^dim - 1 nonzero ones (``"nonzero"``, vector of code c + 1
+        = point c), which relabels the former."""
         if action not in self._perm_groups:
+            if action == "all":
+                gens = tuple(perm_from_matrix(M) for M in self.generators)
+            elif action == "nonzero":
+                gens = tuple(
+                    Perm._raw(tuple(x - 1 for x in g.images[1:]))
+                    for g in self.perm_group("all").generators
+                )
+            else:
+                raise PreconditionError(f"unknown action {action!r} (use 'all' or 'nonzero')")
             q = self.field.q
             shift = 0 if action == "all" else 1
             self._perm_groups[action] = PermGroup._with_base(
-                q**self.dim - shift,
-                tuple(perm_from_matrix(M, action) for M in self.generators),
-                tuple(q**i - shift for i in range(self.dim)),
+                q**self.dim - shift, gens, tuple(q**i - shift for i in range(self.dim))
             )
         return self._perm_groups[action]
 

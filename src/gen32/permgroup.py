@@ -113,7 +113,9 @@ def _take(images: Sequence[int], points: Sequence[int]) -> tuple[int, ...]:
     """The tuple of ``images[x]`` for x in ``points``."""
     if len(points) > 1:
         return itemgetter(*points)(images)
-    return tuple(images[x] for x in points)
+    for x in points:
+        return (images[x],)
+    return ()
 
 
 def _gather(

@@ -1,5 +1,6 @@
-"""Field and vector arithmetic by ``FieldElement`` polynomial arithmetic:
-the references the engine's code arithmetic is tested against.
+"""Field, vector and matrix arithmetic by ``FieldElement`` polynomial
+arithmetic: the references the engine's code arithmetic is tested
+against.
 
 The engine computes on integer codes alone (``FieldSpec.ops``,
 ``add_codes``); nothing here is used by it.  Each helper wraps codes as
@@ -9,6 +10,7 @@ result.
 
 from gen32.errors import PreconditionError
 from gen32.field import FieldElement, FieldSpec, prime_factors
+from gen32.matgroup import MatrixF
 
 
 def primitive_element(field: FieldSpec) -> FieldElement:
@@ -58,3 +60,14 @@ def apply_vector(vec, M) -> tuple[FieldElement, ...]:
             acc = acc + vec[j] * entries[j][k]
         out.append(acc)
     return tuple(out)
+
+
+def identity_matrix(field: FieldSpec, dim: int) -> MatrixF:
+    """The dim x dim identity matrix."""
+    return MatrixF.from_codes(field, [[int(i == j) for j in range(dim)] for i in range(dim)])
+
+
+def matrix_product(A, B) -> MatrixF:
+    """A * B for matrices of one shape over one field: row i is row i
+    of A times B."""
+    return MatrixF.from_codes(A.field, [[x.code for x in apply_vector(r, B)] for r in rows(A)])

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from field_reference import apply_vector
+from field_reference import apply_vector, identity_matrix
 from gen32.cli import main as cli_main
 from gen32.constructions import (
     affine_group,
@@ -313,7 +313,7 @@ def test_criterion_09_oracle_equivalence_suites():
             MatrixGroup(f, 2, [m([[1, 1], [0, 1]])]),
             MatrixGroup(f, 2, [m([[2, 0], [0, 1]])]),
             MatrixGroup(f, 2, [m([[2, 0], [0, 2]])]),
-            MatrixGroup(f, 2, [MatrixF.identity(f, 2)]),
+            MatrixGroup(f, 2, [identity_matrix(f, 2)]),
             MatrixGroup(f, 2, [m([[0, 1], [1, 0]]), m([[2, 0], [0, 1]])]),
             s0_group(q),
         ]

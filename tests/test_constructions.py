@@ -136,7 +136,7 @@ def test_affine_group_of_s0_5():
 
 def test_affine_of_linear_perms_matches_affine_group():
     G0 = s0_group(5)
-    linear = [perm_from_matrix(m, "all") for m in G0.generators]
+    linear = [perm_from_matrix(m) for m in G0.generators]
     A = affine_of_linear_perms(G0.field, 2, linear)
     B = affine_group(G0)
     assert A.order() == B.order()
@@ -149,9 +149,9 @@ def _count_conversions(monkeypatch):
     calls = []
     original = perm_from_matrix
 
-    def counted(M, action="nonzero"):
-        calls.append((M, action))
-        return original(M, action)
+    def counted(M):
+        calls.append(M)
+        return original(M)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("gen32") and getattr(module, "perm_from_matrix", None) is original:
@@ -166,7 +166,7 @@ def test_affine_group_converts_each_matrix_once(monkeypatch):
     # the linear part is the matrix group's own image on all vectors
     assert A.linear is G0.perm_group("all")
     assert affine_group(G0).linear is A.linear
-    assert calls == [(M, "all") for M in G0.generators]
+    assert calls == list(G0.generators)
     assert table1_group(1).linear is table1_group(1).linear
 
 
@@ -178,7 +178,7 @@ def test_affine_group_converts_each_matrix_once(monkeypatch):
 def test_affine_group_generators_are_the_all_vectors_images(table, i):
     G0 = table(i)
     linear = affine_group(G0).generators[G0.dim :]
-    assert linear == tuple(perm_from_matrix(M, "all") for M in G0.generators)
+    assert linear == tuple(perm_from_matrix(M) for M in G0.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_affine_rejects_a_linear_part_moving_zero():
 
 
 def test_affine_rejects_a_linear_part_on_the_nonzero_vectors():
-    nonzero = perm_from_matrix(s0_group(5).generators[0], "nonzero")
+    nonzero = s0_group(5).perm_group("nonzero").generators[0]
     with pytest.raises(PreconditionError, match="degree 24"):
         affine_of_linear_perms(gf(5), 2, (nonzero,))
 
@@ -328,6 +328,8 @@ def test_affine_rejects_a_linear_part_on_the_nonzero_vectors():
         (5, 2, (10, 15)),  # image(10) must be image(5) + image(5)
         (5, 2, (6, 7)),  # image(6) must be image(5) + image(1)
         (4, 2, (14, 15)),  # over GF(4): image(15) must be image(8) xor image(7)
+        (3, 3, (18, 19)),  # image(18) must be image(9) + image(9)
+        (9, 2, (31, 32)),  # over GF(9): image(31) must be image(27) + image(4)
     ],
 )
 def test_affine_rejects_a_linear_part_that_is_not_additive(q, dim, cycle):

@@ -1,13 +1,15 @@
 import itertools
+import random
 import time
 
 import pytest
 
-from field_reference import primitive_element
+from field_reference import decode_vector, encode_vector, primitive_element
 from gen32.errors import PreconditionError
 from gen32.field import (
     FieldSpec,
     _primitive_code,
+    additive_images,
     field_make,
     is_prime,
     prime_factors,
@@ -303,3 +305,22 @@ def test_fields_and_elements_are_immutable_values():
             delattr(obj, name)
     assert pickle.loads(pickle.dumps(x)) == x
     assert pickle.loads(pickle.dumps(f)) == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_additive_images_are_sums_of_basis_images(p, n):
+    # code c = sum of d_k * p^k goes to the vector sum of d_k times the
+    # k-th basis image, over GF(p)^n; p = 2 sums codes by XOR
+    f = field_make(p)
+    rng = random.Random(p * 10 + n)
+    basis = [rng.randrange(p**n) for _ in range(n)]
+    vectors = [decode_vector(f, n, b) for b in basis]
+    want = []
+    for code in range(p**n):
+        total = decode_vector(f, n, 0)
+        for k, v in enumerate(vectors):
+            digit = f.element(code // p**k % p)
+            total = tuple(x + digit * y for x, y in zip(total, v))
+        want.append(encode_vector(f, total))
+    assert additive_images(p, basis) == want

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from field_reference import decode_vector, encode_vector
+from field_reference import decode_vector, encode_vector, identity_matrix
 from search_reference import ReferenceSearch
 from gen32.constructions import (
     affine_group,
@@ -1039,13 +1039,11 @@ def test_d_affine_requires_irreducible():
 
 def test_d_affine_requires_nontrivial():
     f = field_make(5)
-    from gen32.matgroup import MatrixF
-
     with pytest.raises(PreconditionError, match="irreducible"):
-        d_affine(affine_group(MatrixGroup(f, 2, [MatrixF.identity(f, 2)])))
+        d_affine(affine_group(MatrixGroup(f, 2, [identity_matrix(f, 2)])))
     # every line is invariant in dimension 1, so only the order rules it out
     with pytest.raises(PreconditionError, match="nontrivial"):
-        d_affine(affine_group(MatrixGroup(f, 1, [MatrixF.identity(f, 1)])))
+        d_affine(affine_group(MatrixGroup(f, 1, [identity_matrix(f, 1)])))
 
 
 def test_d_affine_takes_only_an_affine_group():

@@ -188,7 +188,9 @@ def test_products_at_degree_1_and_2():
         assert type(p.images) is tuple
 
 
-@pytest.mark.parametrize("points", [(), [], (1,), [2], (2, 0), [0, 0]])
+@pytest.mark.parametrize(
+    "points", [(), [], frozenset(), (1,), [2], frozenset({1}), (2, 0), [0, 0]]
+)
 def test_images_of_few_points_is_a_tuple(points):
     g = Perm([2, 0, 1])
     got = g.images_of(points)
